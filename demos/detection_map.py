@@ -16,7 +16,7 @@ spec = SweepSpec(
     param_range=(0.05, 0.95, 19),
     criteria=(("gaussian", B_TO_A), ("tloo-n2", B_TO_A)),
 )
-rows = run_sweep(spec, threads=1)
+rows = run_sweep(spec)
 
 gauss = {(row.r, row.param): row.steerable for row in rows if row.criterion == "gaussian"}
 tloo = {(row.r, row.param): row.steerable for row in rows if row.criterion == "tloo-n2"}

@@ -8,7 +8,6 @@ local orthogonal observables evaluated on exact Fock-basis reconstructions.
 
 from .covariance import (
     PHYSICALITY_TOL,
-    ChannelParams,
     TwoModeCovariance,
     apply_gain,
     apply_loss,
@@ -64,7 +63,6 @@ from .verdict import A_TO_B, B_TO_A, MARGIN_TOL, SteeringVerdict
 __all__ = [
     "A_TO_B",
     "B_TO_A",
-    "ChannelParams",
     "CorrelationMatrix",
     "FockDensity",
     "MARGIN_TOL",

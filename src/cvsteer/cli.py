@@ -7,13 +7,14 @@ import argparse
 import json
 import sys
 
-from .covariance import apply_gain, apply_loss, tmsv_covariance
+from .covariance import tmsv_covariance
 from .fock import fock_density, fock_density_json
 from .scan import (
     CRITERIA,
     DIRECTION_FROM_LABEL,
     DIRECTION_LABELS,
     SweepSpec,
+    channel_covariance,
     find_boundary,
     monogamy_report,
     run_sweep,
@@ -65,10 +66,10 @@ def cmd_sweep(args) -> int:
             param_range=(args.param_range[0], args.param_range[1], int(args.param_range[2])),
             criteria=criteria,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = run_sweep(spec, threads=args.threads)
+    rows = run_sweep(spec)
     if args.format == "json":
         payload = [
             {
@@ -166,11 +167,10 @@ def cmd_monogamy(args) -> int:
 
 
 def cmd_fock_dump(args) -> int:
-    cov = tmsv_covariance(args.r)
-    if args.channel == "loss":
-        cov = apply_loss(cov, args.eta, "B")
-    elif args.channel == "gain":
-        cov = apply_gain(cov, args.gain, "B")
+    if args.channel == "none":
+        cov = tmsv_covariance(args.r)
+    else:
+        cov = channel_covariance(args.channel, args.r, args.eta if args.channel == "loss" else args.gain)
     rho = fock_density(cov, args.cutoffs[0], args.cutoffs[1])
     _emit(json.dumps(fock_density_json(rho), indent=2), args.out)
     return EXIT_OK
@@ -197,9 +197,6 @@ def _add_common(parser: argparse.ArgumentParser, *names) -> None:
     if "format" in names:
         parser.add_argument("--format", choices=("csv", "json"), default="csv",
                             help="output format")
-    if "threads" in names:
-        parser.add_argument("--threads", type=int, default=1,
-                            help="worker threads for grid evaluation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(0.05, 1.4, 120), help="squeezing grid")
     p.add_argument("--param-range", nargs=3, type=float, metavar=("MIN", "MAX", "STEPS"),
                    help="channel parameter grid (default depends on channel)")
-    _add_common(p, "level", "direction", "criterion", "out", "format", "threads")
+    _add_common(p, "level", "direction", "criterion", "out", "format")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("boundary", help="bisect the channel parameter where a criterion flips")

@@ -2,7 +2,8 @@
 
 Units: hbar = 1 with quadratures X = (a + a^dag)/sqrt(2), P = (a - a^dag)/(sqrt(2) i)
 and second moments scaled so that the vacuum covariance matrix is the identity.
-Every routine in the package uses this convention.
+Every routine in the package uses this convention, and also takes a batch:
+TwoModeCovariance fields may be 1-D arrays, stacking the matrices to (N, 4, 4).
 """
 
 import math
@@ -26,6 +27,9 @@ def symplectic_form(n_modes: int = 2) -> np.ndarray:
     return out
 
 
+_I_OMEGA = 1j * symplectic_form(2)
+
+
 @dataclass(frozen=True)
 class TwoModeCovariance:
     """Standard-form covariance of a two-mode Gaussian state.
@@ -33,24 +37,22 @@ class TwoModeCovariance:
     Parameterised by (a, b, c1, c2): the diagonal is (a, a, b, b) and the
     off-diagonal mode-coupling block is diag(c1, -c2).  The physical single-mode
     marginals are thermal states with mean photon numbers (a - 1)/2 and
-    (b - 1)/2 respectively.
+    (b - 1)/2 respectively.  A batch of states has 1-D array fields.
     """
 
-    a: float
-    b: float
-    c1: float
-    c2: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c1: float | np.ndarray
+    c2: float | np.ndarray
 
     def matrix(self) -> np.ndarray:
-        """Expand to the explicit 4x4 covariance matrix (X_A, P_A, X_B, P_B order)."""
-        return np.array(
-            [
-                [self.a, 0.0, self.c1, 0.0],
-                [0.0, self.a, 0.0, -self.c2],
-                [self.c1, 0.0, self.b, 0.0],
-                [0.0, -self.c2, 0.0, self.b],
-            ]
-        )
+        """Explicit covariance matrix (X_A, P_A, X_B, P_B order): 4x4, or (N, 4, 4) for a batch."""
+        gamma = np.zeros(np.shape(self.a) + (4, 4))
+        gamma[..., 0, 0] = gamma[..., 1, 1] = self.a
+        gamma[..., 2, 2] = gamma[..., 3, 3] = self.b
+        gamma[..., 0, 2] = gamma[..., 2, 0] = self.c1
+        gamma[..., 1, 3] = gamma[..., 3, 1] = -self.c2
+        return gamma
 
     def swap_modes(self) -> "TwoModeCovariance":
         """Relabel the modes (A <-> B); the coupling block is unchanged."""
@@ -65,64 +67,35 @@ class TwoModeCovariance:
         return (self.b - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """One-mode Gaussian channel acting on a two-mode state.
-
-    kind "loss" attenuates with transmittance eta in (0, 1]; kind "gain"
-    amplifies with gain factor >= 1.  target_mode selects which mode passes
-    through the channel.
-    """
-
-    kind: str
-    eta: float | None = None
-    gain: float | None = None
-    target_mode: str = "B"
-
-    def __post_init__(self):
-        if self.kind not in ("loss", "gain"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.target_mode not in ("A", "B"):
-            raise ValueError(f"target_mode must be 'A' or 'B', got {self.target_mode!r}")
-        if self.kind == "loss":
-            if self.eta is None or not 0.0 < self.eta <= 1.0:
-                raise ValueError("loss channel requires eta in (0, 1]")
-        else:
-            if self.gain is None or self.gain < 1.0:
-                raise ValueError("gain channel requires gain >= 1")
-
-    @property
-    def value(self) -> float:
-        return self.eta if self.kind == "loss" else self.gain
-
-    def apply(self, cov: TwoModeCovariance) -> TwoModeCovariance:
-        if self.kind == "loss":
-            return apply_loss(cov, self.eta, self.target_mode)
-        return apply_gain(cov, self.gain, self.target_mode)
-
-
-def tmsv_covariance(r: float) -> TwoModeCovariance:
+def tmsv_covariance(r) -> TwoModeCovariance:
     """Two-mode squeezed vacuum with squeezing parameter r >= 0.
 
     Returns the standard form a = b = cosh(2r), c1 = c2 = sinh(2r); r = 0 is
-    the two-mode vacuum.
+    the two-mode vacuum.  A 1-D array of r gives a batch.
     """
-    if r < 0.0:
+    if np.any(np.less(r, 0.0)):
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    ch, sh = _per_element(math.cosh, 2.0 * r), _per_element(math.sinh, 2.0 * r)
     return TwoModeCovariance(ch, ch, sh, sh)
 
 
-def apply_loss(cov: TwoModeCovariance, eta: float, mode: str = "B") -> TwoModeCovariance:
+def _per_element(fn, x):
+    # numpy's cosh/sinh may round differently from math's; batches must match single states.
+    if np.ndim(x) == 0:
+        return fn(x)
+    return np.array([fn(v) for v in x])
+
+
+def apply_loss(cov: TwoModeCovariance, eta, mode: str = "B") -> TwoModeCovariance:
     """Pure-loss (vacuum noise) channel with transmittance eta on one mode.
 
     The targeted diagonal maps to eta*x + 1 - eta and both couplings pick up a
     factor sqrt(eta); the standard form is preserved.
     """
-    if not 0.0 < eta <= 1.0:
+    if not np.all(np.greater(eta, 0.0) & np.less_equal(eta, 1.0)):
         raise ValueError(f"transmittance must lie in (0, 1], got {eta}")
-    _require_physical(cov)
-    s = math.sqrt(eta)
+    require_physical(cov)
+    s = np.sqrt(eta)
     if mode == "B":
         return TwoModeCovariance(cov.a, eta * cov.b + 1.0 - eta, s * cov.c1, s * cov.c2)
     if mode == "A":
@@ -130,16 +103,16 @@ def apply_loss(cov: TwoModeCovariance, eta: float, mode: str = "B") -> TwoModeCo
     raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
 
 
-def apply_gain(cov: TwoModeCovariance, gain: float, mode: str = "B") -> TwoModeCovariance:
+def apply_gain(cov: TwoModeCovariance, gain, mode: str = "B") -> TwoModeCovariance:
     """Phase-insensitive amplifier with gain factor >= 1 on one mode.
 
     The targeted diagonal maps to G*x + G - 1 and both couplings pick up a
     factor sqrt(G).
     """
-    if gain < 1.0:
+    if np.any(np.less(gain, 1.0)):
         raise ValueError(f"gain factor must be >= 1, got {gain}")
-    _require_physical(cov)
-    s = math.sqrt(gain)
+    require_physical(cov)
+    s = np.sqrt(gain)
     if mode == "B":
         return TwoModeCovariance(cov.a, gain * cov.b + gain - 1.0, s * cov.c1, s * cov.c2)
     if mode == "A":
@@ -148,33 +121,32 @@ def apply_gain(cov: TwoModeCovariance, gain: float, mode: str = "B") -> TwoModeC
 
 
 def check_physical(cov) -> bool:
-    """True iff the covariance matrix satisfies the uncertainty relation.
+    """True iff the covariance matrix (every one of a batch) is physical.
 
-    Accepts a TwoModeCovariance or a symmetric 4x4 array; checks that the
-    Hermitian matrix gamma + i*Omega has no eigenvalue below -PHYSICALITY_TOL.
+    Accepts a TwoModeCovariance or a symmetric 4x4 (or (N, 4, 4)) array;
+    checks that gamma + i*Omega has no eigenvalue below -PHYSICALITY_TOL.
     """
-    gamma = _as_matrix(cov)
-    return physicality_eigenvalue(gamma) >= -PHYSICALITY_TOL
+    return bool((physicality_eigenvalue(cov) >= -PHYSICALITY_TOL).all())
 
 
-def physicality_eigenvalue(cov) -> float:
-    """Minimum eigenvalue of gamma + i*Omega (zero for pure Gaussian states)."""
-    gamma = _as_matrix(cov)
-    h = gamma.astype(complex) + 1j * symplectic_form(2)
-    return float(np.linalg.eigvalsh(h)[0])
+def physicality_eigenvalue(cov):
+    """Minimum eigenvalue of gamma + i*Omega (zero for pure Gaussian states),
+    one per state of a batch."""
+    return np.linalg.eigvalsh(_as_matrix(cov) + _I_OMEGA)[..., 0]
 
 
 def _as_matrix(cov) -> np.ndarray:
     if isinstance(cov, TwoModeCovariance):
         return cov.matrix()
     gamma = np.asarray(cov, dtype=float)
-    if gamma.shape != (4, 4):
+    if gamma.shape[-2:] != (4, 4) or gamma.ndim > 3:
         raise ValueError(f"expected a 4x4 covariance matrix, got shape {gamma.shape}")
-    if not np.allclose(gamma, gamma.T, atol=1e-12):
+    if not np.allclose(gamma, np.swapaxes(gamma, -1, -2), atol=1e-12):
         raise ValueError("covariance matrix must be symmetric")
     return gamma
 
 
-def _require_physical(cov) -> None:
+def require_physical(cov) -> None:
+    """Raise ValueError unless check_physical(cov) holds."""
     if not check_physical(cov):
         raise ValueError("covariance matrix violates the uncertainty relation")

@@ -53,49 +53,56 @@ _D = np.array(
 )
 
 
+# Monomials y_i y_j (i <= j) of y^T R y, with weight 2 off the diagonal.
+_UPPER = np.triu_indices(4)
+_UPPER_WEIGHT = np.where(_UPPER[0] == _UPPER[1], 1.0, 2.0)
+
+
 def hermite_kernel(cov: TwoModeCovariance) -> np.ndarray:
     """Kernel matrix R of the Fock-element generating function exp(-y^T R y).
 
-    Real symmetric 4x4 for every physical standard-form covariance; the
-    intermediate complex algebra is asserted to cancel to < 1e-12.
+    Real symmetric 4x4 (one per state of a batch) for every physical
+    standard-form covariance; the intermediate complex algebra is asserted to
+    cancel to < 1e-12.
     """
     gamma = cov.matrix()
     inner = np.linalg.inv(gamma + np.eye(4)) - 0.5 * np.eye(4)
     kernel = _B @ _U @ inner @ _U.conj().T @ _D
-    if np.abs(kernel.imag).max() >= 1e-12:
+    if np.abs(kernel.imag).max(initial=0.0) >= 1e-12:
         raise ValueError("kernel acquired an imaginary part; covariance not in standard form?")
     kernel = kernel.real
-    if np.abs(kernel - kernel.T).max() >= 1e-12:
+    transpose = np.swapaxes(kernel, -1, -2)
+    if np.abs(kernel - transpose).max(initial=0.0) >= 1e-12:
         raise ValueError("kernel is not symmetric; covariance not in standard form?")
-    return 0.5 * (kernel + kernel.T)
+    return 0.5 * (kernel + transpose)
 
 
 def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -> np.ndarray:
     """Taylor table of exp(-y^T R y) truncated at the given per-variable degrees.
 
-    Entry [p1, p2, p3, p4] is the coefficient of y1^p1 y2^p2 y3^p3 y4^p4.
-    Multiplication only raises powers, so clipping at the target degrees is
-    exact for every retained coefficient.
+    Entry [..., p1, p2, p3, p4] is the coefficient of y1^p1 y2^p2 y3^p3 y4^p4,
+    with the batch axes of the kernel in front.  Multiplication only raises
+    powers, so clipping at the target degrees is exact for every retained
+    coefficient.  A monomial is dropped only when its coefficient vanishes at
+    every state, and the expansion stops when the whole batch's term vanishes;
+    the zeros this adds elsewhere leave each state's table bit-identical to
+    its own expansion.
     """
-    shape = tuple(d + 1 for d in degrees)
+    shape = kernel.shape[:-2] + tuple(d + 1 for d in degrees)
+    coeffs = -kernel[..., _UPPER[0], _UPPER[1]] * _UPPER_WEIGHT
+    live = coeffs.reshape(-1, len(_UPPER_WEIGHT)).any(axis=0)
     monomials = []
-    for i in range(4):
-        for j in range(i, 4):
-            coeff = kernel[i, i] if i == j else 2.0 * kernel[i, j]
-            if coeff != 0.0:
-                monomials.append((i, j, -coeff))
+    for m in np.flatnonzero(live):
+        shift = np.bincount([_UPPER[0][m], _UPPER[1][m]], minlength=4)
+        src = (...,) + tuple(slice(0, d + 1 - s) for d, s in zip(degrees, shift))
+        dst = (...,) + tuple(slice(s, d + 1) for d, s in zip(degrees, shift))
+        monomials.append((coeffs[..., m, None, None, None, None], src, dst))
     table = np.zeros(shape)
-    table[0, 0, 0, 0] = 1.0
-    term = np.zeros(shape)
-    term[0, 0, 0, 0] = 1.0
+    table[..., 0, 0, 0, 0] = 1.0
+    term = table.copy()
     for k in range(1, sum(degrees) // 2 + 1):
         nxt = np.zeros(shape)
-        for i, j, coeff in monomials:
-            shift = [0, 0, 0, 0]
-            shift[i] += 1
-            shift[j] += 1
-            src = tuple(slice(0, shape[ax] - shift[ax]) for ax in range(4))
-            dst = tuple(slice(shift[ax], shape[ax]) for ax in range(4))
+        for coeff, src, dst in monomials:
             nxt[dst] += coeff * term[src]
         term = nxt / k
         if not term.any():
@@ -128,7 +135,8 @@ class FockDensity:
     scope).  reduced_a / reduced_b are the *exact* single-mode reduced density
     matrices on the truncated levels, including the weight the other mode
     carries beyond its cutoff; for standard-form Gaussian states they are
-    diagonal thermal states.
+    diagonal thermal states.  A batch of states puts one leading axis in front
+    of every array.
     """
 
     elements: np.ndarray
@@ -137,19 +145,12 @@ class FockDensity:
 
     @property
     def cutoffs(self) -> tuple[int, int]:
-        return self.elements.shape[0], self.elements.shape[1]
+        return self.elements.shape[-4], self.elements.shape[-3]
 
     @property
-    def trace_weight(self) -> float:
-        """Probability weight inside the truncated two-mode space."""
-        return float(np.einsum("klkl->", self.elements))
-
-    def weight_a(self, n: int) -> float:
-        """Weight of mode A on levels below n (exact, B-tail included)."""
-        return float(np.trace(self.reduced_a[:n, :n]).real)
-
-    def weight_b(self, n: int) -> float:
-        return float(np.trace(self.reduced_b[:n, :n]).real)
+    def trace_weight(self):
+        """Probability weight inside the truncated two-mode space (per state)."""
+        return np.einsum("...klkl->...", self.elements)
 
     @classmethod
     def from_elements(cls, elements: np.ndarray) -> "FockDensity":
@@ -163,18 +164,20 @@ class FockDensity:
         return cls(elements, reduced_a, reduced_b)
 
 
-def thermal_occupations(mean_photons: float, n: int) -> np.ndarray:
-    """Fock occupations p_k = nbar^k / (1 + nbar)^(k+1) for k < n."""
+def thermal_occupations(mean_photons, n: int) -> np.ndarray:
+    """Fock occupations p_k = nbar^k / (1 + nbar)^(k+1) for k < n (last axis)."""
     k = np.arange(n)
-    return mean_photons**k / (1.0 + mean_photons) ** (k + 1)
+    nbar = np.asarray(mean_photons)[..., None]
+    return nbar**k / (1.0 + nbar) ** (k + 1)
 
 
 def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
-    """All truncated Fock elements of a standard-form Gaussian state.
+    """All truncated Fock elements of a standard-form Gaussian state, or of
+    each state of a batch.
 
     One truncated expansion of the generating function yields every element
     with indices below the cutoffs.  Raises if a cutoff exceeds the order
-    guard or the covariance is unphysical.
+    guard or a covariance is unphysical.
     """
     if n_a < 1 or n_b < 1:
         raise ValueError(f"cutoffs must be >= 1, got ({n_a}, {n_b})")
@@ -185,7 +188,7 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
 
     kernel = hermite_kernel(cov)
     table = _exp_neg_quadratic(kernel, (n_a - 1, n_b - 1, n_a - 1, n_b - 1))
-    prefactor = 4.0 / math.sqrt(np.linalg.det(cov.matrix() + np.eye(4)))
+    prefactor = 4.0 / np.sqrt(np.linalg.det(cov.matrix() + np.eye(4)))[..., None, None, None, None]
 
     facs_a = np.array([math.factorial(k) for k in range(n_a)], dtype=float)
     facs_b = np.array([math.factorial(k) for k in range(n_b)], dtype=float)
@@ -199,8 +202,8 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     # rho = prefactor * H / sqrt(m!...) with H = (-1)^total * (m!...) * coeff
     elements = prefactor * (-1.0) ** total * np.sqrt(fac_products) * table
 
-    reduced_a = np.diag(thermal_occupations(cov.mean_photons_a, n_a))
-    reduced_b = np.diag(thermal_occupations(cov.mean_photons_b, n_b))
+    reduced_a = thermal_occupations(cov.mean_photons_a, n_a)[..., None] * np.eye(n_a)
+    reduced_b = thermal_occupations(cov.mean_photons_b, n_b)[..., None] * np.eye(n_b)
     return FockDensity(elements, reduced_a, reduced_b)
 
 

@@ -27,16 +27,17 @@ BISECT_XTOL = 1e-8
 BISECT_MAXITER = 200
 
 
-def gaussian_margin(cov: TwoModeCovariance, direction: str = B_TO_A) -> float:
-    """Signed margin of the Gaussian steering test (positive = steerable)."""
+def gaussian_margin(cov: TwoModeCovariance, direction: str = B_TO_A):
+    """Signed margin of the Gaussian steering test (positive = steerable), one
+    per state of a batch.  The covariance is taken to be physical."""
     gamma = cov.matrix().astype(complex)
     if direction == B_TO_A:
-        gamma[:2, :2] += 1j * _OMEGA_MODE
+        gamma[..., :2, :2] += 1j * _OMEGA_MODE
     elif direction == A_TO_B:
-        gamma[2:, 2:] += 1j * _OMEGA_MODE
+        gamma[..., 2:, 2:] += 1j * _OMEGA_MODE
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return -float(np.linalg.eigvalsh(gamma)[0])
+    return -np.linalg.eigvalsh(gamma)[..., 0]
 
 
 def gaussian_steerable(cov: TwoModeCovariance, direction: str = B_TO_A) -> SteeringVerdict:

@@ -1,24 +1,27 @@
 """Parameter sweeps, boundary bisection and the monogamy scenario.
 
 Everything here composes the criterion modules over (squeezing, channel
-parameter) grids; no detection logic of its own.  Grid evaluation is pure and
-embarrassingly parallel; output rows always come back in deterministic grid
-order (squeezing-major, then channel parameter, then criterion).
+parameter) grids; no detection logic of its own.  Points are evaluated as one
+batch: every stage runs once on the stacked covariances of a whole grid, and a
+single point is a batch of one.  Output rows always come back in deterministic
+grid order (squeezing-major, then channel parameter, then criterion).
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import bisect
 
-from .covariance import TwoModeCovariance, apply_gain, apply_loss, tmsv_covariance
+from .covariance import TwoModeCovariance, apply_gain, apply_loss, require_physical, tmsv_covariance
 from .fock import fock_density
-from .gaussian_criterion import gaussian_gain_boundary, gaussian_steerable
-from .tloo_criterion import tloo_steerable
+from .gaussian_criterion import gaussian_gain_boundary, gaussian_margin
+from .tloo_criterion import correlation_matrix, criterion_rhs
 from .verdict import A_TO_B, B_TO_A, MARGIN_TOL, SteeringVerdict
 
-CRITERIA = ("gaussian", "tloo-n2", "tloo-n3")
+TLOO_LEVELS = {"tloo-n2": 2, "tloo-n3": 3}
+CRITERIA = ("gaussian", *TLOO_LEVELS)
 DIRECTION_LABELS = {B_TO_A: "b-to-a", A_TO_B: "a-to-b"}
 DIRECTION_FROM_LABEL = {v: k for k, v in DIRECTION_LABELS.items()}
 
@@ -29,9 +32,14 @@ _LOSS_BRACKET = (1e-6, 1.0)
 _GAIN_BRACKET = (1.0 + 1e-12, 6.0)
 _BOUNDARY_XTOL = 1e-8
 
+# Largest sweep grid, and points per batch: the default 120x120 grid is one
+# batch, and the working arrays stay near 3 kB per point however large the grid.
+MAX_GRID_POINTS = 250_000
+_SWEEP_BATCH = 16_384
 
-def channel_covariance(channel: str, r: float, param: float) -> TwoModeCovariance:
-    """Two-mode squeezed vacuum pushed through the named channel on mode B."""
+
+def channel_covariance(channel: str, r, param) -> TwoModeCovariance:
+    """Squeezed vacuum through the named channel on mode B (1-D r and param: a batch)."""
     base = tmsv_covariance(r)
     if channel == "loss":
         return apply_loss(base, param, "B")
@@ -40,24 +48,40 @@ def channel_covariance(channel: str, r: float, param: float) -> TwoModeCovarianc
     raise ValueError(f"unknown channel {channel!r}")
 
 
-def tloo_level(criterion: str) -> int:
-    if criterion == "tloo-n2":
-        return 2
-    if criterion == "tloo-n3":
-        return 3
-    raise ValueError(f"not a TLOO criterion: {criterion!r}")
+def batch_margins(channel: str, rs, params, criteria) -> list[np.ndarray]:
+    """Margins of each (criterion, direction) pair at every point of a batch.
+
+    rs and params are 1-D arrays; the result holds one margin array per pair.
+    The stack is checked once as squeezed vacuum and once as channel output,
+    one Fock density at the largest level serves every level (elements below
+    a cutoff do not depend on it) and a trace norm serves both directions.
+    """
+    if any(criterion not in CRITERIA for criterion, _ in criteria):
+        raise ValueError(f"unknown criterion in {criteria!r}")
+    cov = channel_covariance(channel, rs, params)
+    levels = {TLOO_LEVELS[c] for c, _ in criteria if c != "gaussian"}
+    if levels:
+        rho = fock_density(cov, max(levels), max(levels))  # checks the channel output
+    else:
+        require_physical(cov)
+    corr = {n: correlation_matrix(rho, n, n) for n in levels}
+    norm = {n: c.trace_norm for n, c in corr.items()}
+    margins = []
+    for criterion, direction in criteria:
+        if criterion == "gaussian":
+            margins.append(gaussian_margin(cov, direction))
+        else:
+            n = TLOO_LEVELS[criterion]
+            margins.append(norm[n] - criterion_rhs(corr[n], direction))
+    return margins
 
 
 def evaluate_point(
     channel: str, r: float, param: float, criterion: str, direction: str
 ) -> SteeringVerdict:
-    """Run one criterion at one grid point."""
-    cov = channel_covariance(channel, r, param)
-    if criterion == "gaussian":
-        return gaussian_steerable(cov, direction)
-    level = tloo_level(criterion)
-    rho = fock_density(cov, level, level)
-    return tloo_steerable(rho, level, level, direction)
+    """Run one criterion at one grid point, as a batch of one."""
+    (margin,) = batch_margins(channel, np.array([r]), np.array([param]), ((criterion, direction),))
+    return SteeringVerdict.from_margin(criterion.split("-")[0], direction, margin[0])
 
 
 @dataclass(frozen=True)
@@ -73,6 +97,8 @@ class SweepSpec:
         if self.channel not in ("loss", "gain"):
             raise ValueError(f"unknown channel {self.channel!r}")
         for name, (lo, hi, steps) in (("r", self.r_range), ("param", self.param_range)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} range bounds must be finite, got ({lo}, {hi})")
             if steps < 2:
                 raise ValueError(f"{name} range needs at least 2 steps, got {steps}")
             if not lo <= hi:
@@ -84,6 +110,9 @@ class SweepSpec:
             raise ValueError("gain range must start at >= 1")
         if self.r_range[0] < 0.0:
             raise ValueError("squeezing range must be non-negative")
+        points = self.r_range[2] * self.param_range[2]
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {points} points; at most {MAX_GRID_POINTS} are supported")
         for criterion, direction in self.criteria:
             if criterion not in CRITERIA:
                 raise ValueError(f"unknown criterion {criterion!r}")
@@ -108,24 +137,19 @@ class SweepRow:
     steerable: bool
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
-    """Evaluate every (criterion, direction) at every grid point, in grid order."""
-
-    def rows_at(point: tuple[float, float]) -> list[SweepRow]:
-        r, param = point
-        out = []
-        for criterion, direction in spec.criteria:
-            verdict = evaluate_point(spec.channel, r, param, criterion, direction)
-            out.append(SweepRow(r, param, criterion, direction, verdict.margin, verdict.steerable))
-        return out
-
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate every (criterion, direction) at every grid point, batched, in grid order."""
     points = spec.grid()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(rows_at, points))
-    else:
-        chunks = [rows_at(p) for p in points]
-    return [row for chunk in chunks for row in chunk]
+    margins = [[] for _ in spec.criteria]
+    for start in range(0, len(points), _SWEEP_BATCH):
+        rs, params = np.array(points[start : start + _SWEEP_BATCH]).T
+        for out, batch in zip(margins, batch_margins(spec.channel, rs, params, spec.criteria)):
+            out.extend(batch.tolist())
+    return [
+        SweepRow(r, param, criterion, direction, m[i], m[i] > MARGIN_TOL)
+        for i, (r, param) in enumerate(points)
+        for (criterion, direction), m in zip(spec.criteria, margins)
+    ]
 
 
 def write_sweep_csv(rows: list[SweepRow], stream) -> None:
@@ -209,23 +233,23 @@ def squeezing_range(
     Scans r on a uniform grid with endpoint refinement by bisection; only the
     TLOO criteria are meaningful here.
     """
-    if criterion not in ("tloo-n2", "tloo-n3"):
+    if criterion not in TLOO_LEVELS:
         raise ValueError(f"squeezing-range scan requires a TLOO criterion, got {criterion!r}")
     steps = int(round(r_max / r_step))
     rs = [r_step * i for i in range(1, steps + 1)]
 
-    if channel == "loss":
-        def blind_margin(r: float) -> float:
-            return evaluate_point("loss", r, 0.5, criterion, direction).margin
-    elif channel == "gain":
-        def blind_margin(r: float) -> float:
-            boundary = gaussian_gain_boundary(r)
-            return evaluate_point("gain", r, boundary, criterion, direction).margin
-    else:
+    if channel not in ("loss", "gain"):
         raise ValueError(f"unknown channel {channel!r}")
 
-    margins = [blind_margin(r) for r in rs]
-    detected = [m > MARGIN_TOL for m in margins]
+    def blind_param(r: float) -> float:
+        return 0.5 if channel == "loss" else gaussian_gain_boundary(r)
+
+    def blind_margin(r: float) -> float:
+        return evaluate_point(channel, r, blind_param(r), criterion, direction).margin
+
+    params = [blind_param(r) for r in rs]
+    (margins,) = batch_margins(channel, np.array(rs), np.array(params), ((criterion, direction),))
+    detected = [m > MARGIN_TOL for m in margins.tolist()]
     if not any(detected):
         return SqueezingRange(channel, criterion, direction, False)
 
@@ -241,17 +265,21 @@ def squeezing_range(
     eps_curve = None
     if channel == "gain":
         curve = []
-        for r, hit in zip(rs, detected):
+        for r, boundary, hit in zip(rs, params, detected):
             if not hit:
                 continue
-            boundary = gaussian_gain_boundary(r)
 
             def margin_at(gain: float) -> float:
                 return evaluate_point("gain", r, gain, criterion, direction).margin
 
+            # The margin must turn non-positive inside the gain bracket.
             hi = boundary + 0.5
             while margin_at(hi) > 0.0:
-                hi += 0.5
+                if hi >= _GAIN_BRACKET[1]:
+                    raise ValueError(
+                        f"{criterion} margin stays positive up to gain {_GAIN_BRACKET[1]} at r={r:.9g}"
+                    )
+                hi = min(hi + 0.5, _GAIN_BRACKET[1])
             edge = float(bisect(margin_at, boundary, hi, xtol=1e-8, maxiter=200))
             curve.append((r, edge - boundary))
         eps_curve = tuple(curve)

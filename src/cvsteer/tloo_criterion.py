@@ -24,26 +24,26 @@ from .verdict import A_TO_B, B_TO_A, SteeringVerdict
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """TLOO covariances of a two-mode state plus the cached local data."""
+    """TLOO covariances of a two-mode state (or a batch) plus the cached local data."""
 
     entries: np.ndarray  # (level_a**2, level_b**2), real
     mean_a: np.ndarray
     mean_b: np.ndarray
-    weight_a: float
-    weight_b: float
+    weight_a: float | np.ndarray
+    weight_b: float | np.ndarray
     level_a: int
     level_b: int
 
     @property
-    def trace_norm(self) -> float:
-        return float(np.linalg.svd(self.entries, compute_uv=False).sum())
+    def trace_norm(self):
+        return np.linalg.svd(self.entries, compute_uv=False).sum(axis=-1)
 
-    def variance_sum_a(self) -> float:
+    def variance_sum_a(self):
         """Sum of local variances over the A-side set (completeness identity)."""
-        return self.level_a * self.weight_a - float((self.mean_a**2).sum())
+        return self.level_a * self.weight_a - (self.mean_a**2).sum(axis=-1)
 
-    def variance_sum_b(self) -> float:
-        return self.level_b * self.weight_b - float((self.mean_b**2).sum())
+    def variance_sum_b(self):
+        return self.level_b * self.weight_b - (self.mean_b**2).sum(axis=-1)
 
 
 def correlation_matrix(
@@ -70,37 +70,38 @@ def correlation_matrix(
             f"truncation levels ({level_a}, {level_b}) exceed density cutoffs ({n_a}, {n_b})"
         )
 
-    block = rho.elements[:level_a, :level_b, :level_a, :level_b]
-    joint = np.einsum("mpnq,inm,jqp->ij", block, tloos_a.matrices, tloos_b.matrices)
-    if np.abs(joint.imag).max() >= 1e-12:
+    block = rho.elements[..., :level_a, :level_b, :level_a, :level_b]
+    joint = np.einsum("...mpnq,inm,jqp->...ij", block, tloos_a.matrices, tloos_b.matrices)
+    if np.abs(joint.imag).max(initial=0.0) >= 1e-12:
         raise ValueError("joint expectations acquired an imaginary part; state not real?")
-    red_a = rho.reduced_a[:level_a, :level_a]
-    red_b = rho.reduced_b[:level_b, :level_b]
-    mean_a = np.einsum("ab,jba->j", red_a, tloos_a.matrices).real
-    mean_b = np.einsum("ab,jba->j", red_b, tloos_b.matrices).real
-    entries = joint.real - np.outer(mean_a, mean_b)
-    weight_a = float(np.trace(red_a).real)
-    weight_b = float(np.trace(red_b).real)
+    red_a = rho.reduced_a[..., :level_a, :level_a]
+    red_b = rho.reduced_b[..., :level_b, :level_b]
+    mean_a = np.einsum("...ab,jba->...j", red_a, tloos_a.matrices).real
+    mean_b = np.einsum("...ab,jba->...j", red_b, tloos_b.matrices).real
+    entries = joint.real - mean_a[..., :, None] * mean_b[..., None, :]
+    weight_a = np.trace(red_a, axis1=-2, axis2=-1).real
+    weight_b = np.trace(red_b, axis1=-2, axis2=-1).real
     return CorrelationMatrix(entries, mean_a, mean_b, weight_a, weight_b, level_a, level_b)
 
 
-def criterion_rhs(corr: CorrelationMatrix, direction: str = B_TO_A) -> float:
-    """Local-hidden-state bound on the trace norm for the given direction.
+def criterion_rhs(corr: CorrelationMatrix, direction: str = B_TO_A):
+    """Local-hidden-state bound on the trace norm for the given direction, one
+    per state of a batch.
 
     The trusted-side factor is weight - sum of squared means; the untrusted
     side additionally carries its level multiplier.
     """
-    factor_a = corr.weight_a - float((corr.mean_a**2).sum())
-    factor_b = corr.weight_b - float((corr.mean_b**2).sum())
+    factor_a = corr.weight_a - (corr.mean_a**2).sum(axis=-1)
+    factor_b = corr.weight_b - (corr.mean_b**2).sum(axis=-1)
     if direction == B_TO_A:
         radicand = factor_a * corr.variance_sum_b()
     elif direction == A_TO_B:
         radicand = factor_b * corr.variance_sum_a()
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    if radicand < -1e-12:
-        raise ValueError(f"negative bound radicand ({radicand}); inconsistent local data")
-    return float(np.sqrt(max(radicand, 0.0)))
+    if np.any(radicand < -1e-12):
+        raise ValueError(f"negative bound radicand ({np.min(radicand)}); inconsistent local data")
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def tloo_steerable(

@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from cvsteer import lossy_tmsv_element
 from cvsteer.cli import main
+
+# Sweep CSVs written by the per-point engine that preceded batched evaluation
+# (commit 9d6e174); the batched engine must reproduce them byte for byte.
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -34,9 +39,47 @@ def test_sweep_deterministic(tmp_path):
         "--criterion", "gaussian", "--direction", "b-to-a",
     )
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(*args, "--out", str(out1), "--threads", "1") == 0
-    assert run_cli(*args, "--out", str(out2), "--threads", "3") == 0
+    assert run_cli(*args, "--out", str(out1)) == 0
+    assert run_cli(*args, "--out", str(out2)) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize(
+    "channel, param_range",
+    [("loss", ("0.05", "0.95", "6")), ("gain", ("1.0", "2.0", "6"))],
+)
+def test_sweep_matches_golden_csv(tmp_path, channel, param_range):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", "--channel", channel,
+        "--r-range", "0.05", "1.4", "6",
+        "--param-range", *param_range,
+        "--out", str(out),
+    )
+    assert code == 0
+    assert out.read_bytes() == (DATA / f"sweep_{channel}_6x6.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "r_range, param_range, message",
+    [
+        (("0.1", "inf", "3"), ("0.3", "0.6", "3"), "r range bounds must be finite"),
+        (("nan", "0.5", "3"), ("0.3", "0.6", "3"), "r range bounds must be finite"),
+        (("0.1", "0.5", "3"), ("0.3", "nan", "3"), "param range bounds must be finite"),
+        (("0.1", "0.5", "inf"), ("0.3", "0.6", "3"), "cannot convert float infinity to integer"),
+        (("0.1", "0.5", "1000"), ("0.3", "0.6", "1000"), "at most 250000"),
+    ],
+)
+def test_sweep_rejects_bad_grid_at_the_edge(capsys, r_range, param_range, message):
+    code = run_cli(
+        "sweep", "--channel", "loss",
+        "--r-range", *r_range,
+        "--param-range", *param_range,
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_json_format(tmp_path):
@@ -101,6 +144,26 @@ def test_rrange_loss(capsys):
     out = capsys.readouterr().out
     values = dict(line.split("=") for line in out.strip().splitlines())
     assert float(values["r_high"]) == pytest.approx(0.869, abs=0.015)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("--channel", "loss", "--level", "3", "--direction", "b-to-a"),
+            "r_low=0.363761597\nr_high=0.986912231\n",
+        ),
+        (
+            ("--channel", "gain", "--level", "2", "--direction", "a-to-b"),
+            "r_low=0.02\nr_high=0.648381958\neps_max=0.0508789048\neps_argmax=0.4\n",
+        ),
+    ],
+)
+def test_rrange_output_unchanged(capsys, argv, expected):
+    # Printed by the per-point scan that preceded the batched one.
+    code = run_cli("rrange", *argv, "--r-step", "0.02", "--r-max", "1.2")
+    assert code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_monogamy_text(capsys):

@@ -3,7 +3,6 @@ import pytest
 from conftest import gain_dilation, loss_dilation
 
 from cvsteer import (
-    ChannelParams,
     TwoModeCovariance,
     apply_gain,
     apply_loss,
@@ -109,6 +108,8 @@ def test_gain_values():
     assert out.b == pytest.approx(2.0516967617782926, abs=1e-12)
     assert out.c1 == pytest.approx(1.2873684067314137, abs=1e-12)
     assert out.a == pytest.approx(COSH1, abs=1e-12)
+    mirrored = apply_gain(tmsv_covariance(0.5), 1.2, "A")
+    assert (mirrored.a, mirrored.b, mirrored.c1) == (out.b, out.a, out.c1)
 
 
 def test_gain_rejects_below_unity():
@@ -164,17 +165,3 @@ def test_swap_modes():
     perm = np.zeros((4, 4))
     perm[0, 2] = perm[1, 3] = perm[2, 0] = perm[3, 1] = 1.0
     np.testing.assert_allclose(swapped.matrix(), perm @ gamma @ perm.T)
-
-
-def test_channel_params():
-    cov = tmsv_covariance(0.5)
-    loss = ChannelParams("loss", eta=0.5)
-    assert loss.apply(cov) == apply_loss(cov, 0.5, "B")
-    gain = ChannelParams("gain", gain=1.2, target_mode="A")
-    assert gain.apply(cov) == apply_gain(cov, 1.2, "A")
-    with pytest.raises(ValueError):
-        ChannelParams("loss", eta=1.5)
-    with pytest.raises(ValueError):
-        ChannelParams("gain", gain=0.5)
-    with pytest.raises(ValueError):
-        ChannelParams("squeeze", eta=0.5)

@@ -215,6 +215,35 @@ def test_closed_form_index_guard():
         lossy_tmsv_element(0.5, 0.5, (0, 0, -1, 0))
 
 
+def test_batched_density_matches_each_state():
+    # A vacuum (zero kernel, expansion ends at once), a pure squeezed vacuum
+    # and lossy/amplified states share one batch; every state must come out
+    # exactly as it does on its own at any cutoff.
+    states = [
+        tmsv_covariance(0.0),
+        tmsv_covariance(0.6),
+        apply_loss(tmsv_covariance(0.9), 0.3, "B"),
+        apply_gain(tmsv_covariance(0.4), 1.7, "B"),
+        TwoModeCovariance(1.8, 1.3, 0.7, 0.2),
+    ]
+    batch = TwoModeCovariance(*(np.array([getattr(c, f) for c in states]) for f in ("a", "b", "c1", "c2")))
+    for n_a, n_b in ((1, 1), (2, 3), (4, 4), (7, 7)):
+        rho = fock_density(batch, n_a, n_b)
+        assert rho.elements.shape == (len(states), n_a, n_b, n_a, n_b)
+        for i, cov in enumerate(states):
+            single = fock_density(cov, n_a, n_b)
+            assert np.array_equal(rho.elements[i], single.elements)
+            assert np.array_equal(rho.reduced_a[i], single.reduced_a)
+            assert np.array_equal(rho.reduced_b[i], single.reduced_b)
+            assert rho.trace_weight[i] == single.trace_weight
+
+
+def test_batched_density_rejects_one_unphysical_state():
+    batch = TwoModeCovariance(np.array([1.0, 0.5]), np.array([1.0, 0.5]), np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="uncertainty relation"):
+        fock_density(batch, 2, 2)
+
+
 def test_density_hermitian():
     rho = fock_density(apply_loss(tmsv_covariance(0.6), 0.4, "B"), 4, 4)
     np.testing.assert_allclose(rho.elements, rho.elements.transpose(2, 3, 0, 1), atol=1e-12)

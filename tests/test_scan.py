@@ -1,5 +1,7 @@
 import io
+import math
 
+import numpy as np
 import pytest
 
 from cvsteer import (
@@ -12,12 +14,18 @@ from cvsteer import (
     evaluate_point,
     find_boundary,
     gaussian_gain_boundary,
+    lossy_tmsv_element,
     monogamy_report,
     run_sweep,
     squeezing_range,
+    thermal_marginal,
     tmsv_covariance,
     write_sweep_csv,
 )
+from cvsteer import scan
+from cvsteer.scan import CRITERIA, DIRECTION_LABELS, batch_margins
+
+ALL_PAIRS = tuple((criterion, direction) for criterion in CRITERIA for direction in DIRECTION_LABELS)
 
 GAIN_BOUNDARY_R05 = 1.2135522670340726
 
@@ -51,6 +59,93 @@ def test_spec_validation():
         small_spec(criteria=(("tloo-n4", B_TO_A),))
 
 
+@pytest.mark.parametrize(
+    "field, bounds",
+    [
+        ("r_range", (0.1, math.inf, 3)),
+        ("r_range", (math.nan, 0.5, 3)),
+        ("param_range", (0.3, math.nan, 3)),
+        ("param_range", (-math.inf, 0.6, 3)),
+    ],
+)
+def test_spec_rejects_non_finite_bounds(field, bounds):
+    with pytest.raises(ValueError, match="must be finite"):
+        small_spec(**{field: bounds})
+
+
+def test_spec_bounds_grid_size():
+    small_spec(r_range=(0.2, 0.8, 500), param_range=(0.3, 0.6, 500))  # 250,000 points
+    with pytest.raises(ValueError, match="at most 250000"):
+        small_spec(r_range=(0.2, 0.8, 501), param_range=(0.3, 0.6, 500))
+
+
+def basis_free_tloo_margin(r: float, eta: float, level: int, direction: str) -> float:
+    """TLOO margin of a lossy squeezed vacuum without any observable basis.
+
+    The singular values of the TLOO correlation matrix are those of the
+    realigned rho - rho_A (x) rho_B, and the sum of squared TLOO means is the
+    purity of the truncated marginal; elements and marginals come from the
+    closed forms.
+    """
+    n = level
+    rho = np.array(
+        [
+            [[[lossy_tmsv_element(r, eta, (m1, m2, n1, n2)) for n2 in range(n)] for n1 in range(n)]
+             for m2 in range(n)]
+            for m1 in range(n)
+        ]
+    )
+    p_a = np.array([thermal_marginal(r, 1.0, k) for k in range(n)])
+    p_b = np.array([thermal_marginal(r, eta, k) for k in range(n)])
+    x = rho - np.einsum("mn,pq->mpnq", np.diag(p_a), np.diag(p_b))
+    trace_norm = np.linalg.svd(x.transpose(0, 2, 1, 3).reshape(n * n, n * n), compute_uv=False).sum()
+    trusted, untrusted = (p_a, p_b) if direction == B_TO_A else (p_b, p_a)
+    bound = math.sqrt(
+        (trusted.sum() - (trusted**2).sum()) * (n * untrusted.sum() - (untrusted**2).sum())
+    )
+    return trace_norm - bound
+
+
+def loss_batch():
+    """A 60-point loss grid that includes the Gaussian boundary eta = 1/2."""
+    rs, etas = np.meshgrid(np.linspace(0.05, 1.4, 10), np.linspace(0.05, 0.95, 7), indexing="ij")
+    return rs.ravel(), etas.ravel()
+
+
+def test_batch_margins_match_oracles():
+    rs, etas = loss_batch()
+    margins = dict(zip(ALL_PAIRS, batch_margins("loss", rs, etas, ALL_PAIRS)))
+    checked = 0
+    for i, (r, eta) in enumerate(zip(rs, etas)):
+        for direction in DIRECTION_LABELS:
+            for level in (2, 3):
+                reference = basis_free_tloo_margin(r, eta, level, direction)
+                assert margins[(f"tloo-n{level}", direction)][i] == pytest.approx(reference, abs=1e-10)
+            # Closed-form Gaussian verdicts: B->A iff eta > 1/2, A->B always.
+            if direction == B_TO_A and abs(eta - 0.5) <= 1e-6:
+                continue
+            expected = eta > 0.5 if direction == B_TO_A else True
+            assert (margins[("gaussian", direction)][i] > scan.MARGIN_TOL) == expected
+            checked += 1
+    assert checked == 2 * len(rs) - 10  # the ten points on eta = 1/2 are skipped once each
+
+
+@pytest.mark.parametrize("channel, params", [("loss", (0.3, 0.5, 0.9)), ("gain", (1.0, 1.2, 1.9))])
+def test_batch_of_one_is_bit_identical(channel, params):
+    rs = np.repeat([0.1, 0.7, 1.3], 3)
+    ps = np.tile(params, 3)
+    for pair, margins in zip(ALL_PAIRS, batch_margins(channel, rs, ps, ALL_PAIRS)):
+        single = [evaluate_point(channel, r, p, *pair).margin for r, p in zip(rs, ps)]
+        assert margins.tolist() == single
+
+
+def test_sweep_batches_join_seamlessly(monkeypatch):
+    spec = small_spec(criteria=ALL_PAIRS)
+    whole = run_sweep(spec)
+    monkeypatch.setattr(scan, "_SWEEP_BATCH", 5)
+    assert run_sweep(spec) == whole
+
+
 def test_sweep_rows_match_direct_evaluation():
     spec = small_spec()
     rows = run_sweep(spec)
@@ -61,12 +156,9 @@ def test_sweep_rows_match_direct_evaluation():
         assert row.steerable == verdict.steerable
 
 
-def test_sweep_deterministic_and_thread_invariant():
+def test_sweep_deterministic():
     spec = small_spec()
-    rows1 = run_sweep(spec, threads=1)
-    rows2 = run_sweep(spec, threads=1)
-    rows4 = run_sweep(spec, threads=4)
-    assert rows1 == rows2 == rows4
+    assert run_sweep(spec) == run_sweep(spec)
 
 
 def test_sweep_grid_order():
@@ -160,6 +252,15 @@ def test_squeezing_range_gain_two_level_coarse():
         assert eps > 0.0
         boundary = gaussian_gain_boundary(r)
         assert evaluate_point("gain", r, boundary + eps / 2, "tloo-n2", A_TO_B).steerable
+
+
+def test_squeezing_range_gain_walk_is_capped(monkeypatch):
+    def always_positive(channel, rs, params, criteria):
+        return [np.ones(len(rs)) for _ in criteria]
+
+    monkeypatch.setattr(scan, "batch_margins", always_positive)
+    with pytest.raises(ValueError, match="stays positive up to gain 6"):
+        squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.2)
 
 
 def test_squeezing_range_stable_under_refinement():
