@@ -7,6 +7,7 @@ local orthogonal observables evaluated on exact Fock-basis reconstructions.
 """
 
 from .covariance import (
+    MAX_SQUEEZING,
     PHYSICALITY_TOL,
     TwoModeCovariance,
     apply_gain,
@@ -67,6 +68,7 @@ __all__ = [
     "FockDensity",
     "MARGIN_TOL",
     "MAX_ORDER",
+    "MAX_SQUEEZING",
     "MonogamyReport",
     "PHYSICALITY_TOL",
     "SqueezingRange",

@@ -15,6 +15,11 @@ import numpy as np
 # Double-precision eigensolves on 4x4 matrices are accurate well below 1e-12.
 PHYSICALITY_TOL = 1e-10
 
+# Largest squeezing accepted.  Up to r = 5 the Gaussian margin on the exact channel
+# boundaries stays within 1e-11 of zero; beyond it the rounding of cosh(2r) breaks
+# the physicality check of pure states and the conservative verdicts at MARGIN_TOL.
+MAX_SQUEEZING = 5.0
+
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -68,15 +73,21 @@ class TwoModeCovariance:
 
 
 def tmsv_covariance(r) -> TwoModeCovariance:
-    """Two-mode squeezed vacuum with squeezing parameter r >= 0.
+    """Two-mode squeezed vacuum with squeezing parameter 0 <= r <= MAX_SQUEEZING.
 
     Returns the standard form a = b = cosh(2r), c1 = c2 = sinh(2r); r = 0 is
     the two-mode vacuum.  A 1-D array of r gives a batch.
     """
-    if np.any(np.less(r, 0.0)):
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+    _require(np.greater_equal(r, 0.0) & np.less_equal(r, MAX_SQUEEZING), r,
+             f"squeezing parameter must lie in [0, {MAX_SQUEEZING:g}]")
     ch, sh = _per_element(math.cosh, 2.0 * r), _per_element(math.sinh, 2.0 * r)
     return TwoModeCovariance(ch, ch, sh, sh)
+
+
+def _require(ok, values, message: str) -> None:
+    """Raise ValueError(message) naming the first value where ok is False."""
+    if not np.all(ok):
+        raise ValueError(f"{message}, got {np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0]}")
 
 
 def _per_element(fn, x):
@@ -92,8 +103,7 @@ def apply_loss(cov: TwoModeCovariance, eta, mode: str = "B") -> TwoModeCovarianc
     The targeted diagonal maps to eta*x + 1 - eta and both couplings pick up a
     factor sqrt(eta); the standard form is preserved.
     """
-    if not np.all(np.greater(eta, 0.0) & np.less_equal(eta, 1.0)):
-        raise ValueError(f"transmittance must lie in (0, 1], got {eta}")
+    _require(np.greater(eta, 0.0) & np.less_equal(eta, 1.0), eta, "transmittance must lie in (0, 1]")
     require_physical(cov)
     s = np.sqrt(eta)
     if mode == "B":
@@ -109,8 +119,7 @@ def apply_gain(cov: TwoModeCovariance, gain, mode: str = "B") -> TwoModeCovarian
     The targeted diagonal maps to G*x + G - 1 and both couplings pick up a
     factor sqrt(G).
     """
-    if np.any(np.less(gain, 1.0)):
-        raise ValueError(f"gain factor must be >= 1, got {gain}")
+    _require(np.greater_equal(gain, 1.0) & np.isfinite(gain), gain, "gain factor must be finite and >= 1")
     require_physical(cov)
     s = np.sqrt(gain)
     if mode == "B":

@@ -8,29 +8,39 @@ grid order (squeezing-major, then channel parameter, then criterion).
 """
 
 import csv
-import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import bisect
 
 from .covariance import TwoModeCovariance, apply_gain, apply_loss, require_physical, tmsv_covariance
 from .fock import fock_density
-from .gaussian_criterion import gaussian_gain_boundary, gaussian_margin
+from .gaussian_criterion import BISECT_MAXITER, BISECT_XTOL, gaussian_gain_boundary, gaussian_margin
 from .tloo_criterion import correlation_matrix, criterion_rhs
-from .verdict import A_TO_B, B_TO_A, MARGIN_TOL, SteeringVerdict
+from .verdict import A_TO_B, B_TO_A, DIRECTION_LABELS, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
-TLOO_LEVELS = {"tloo-n2": 2, "tloo-n3": 3}
-CRITERIA = ("gaussian", *TLOO_LEVELS)
-DIRECTION_LABELS = {B_TO_A: "b-to-a", A_TO_B: "a-to-b"}
-DIRECTION_FROM_LABEL = {v: k for k, v in DIRECTION_LABELS.items()}
+# Criterion name -> TLOO truncation level (None: the Gaussian criterion).
+CRITERIA = {"gaussian": None, "tloo-n2": 2, "tloo-n3": 3}
 
-CSV_HEADER = ("r", "param", "criterion", "direction", "margin", "steerable")
 
-# Channel-parameter search brackets for boundary bisection.
-_LOSS_BRACKET = (1e-6, 1.0)
-_GAIN_BRACKET = (1.0 + 1e-12, 6.0)
-_BOUNDARY_XTOL = 1e-8
+@dataclass(frozen=True)
+class Channel:
+    """A channel acting on mode B of the squeezed vacuum, as the scans use it."""
+
+    apply: Callable  # (covariance, parameter, mode) -> covariance
+    param: str  # name of the channel parameter
+    bracket: tuple[float, float]  # parameter interval searched for boundaries
+    default_range: tuple[float, float, int]  # default sweep grid of the parameter
+    # Direction -> parameter, as a function of r, where the Gaussian criterion turns blind (no entry: never).
+    blind_edge: dict[str, Callable[[float], float]]
+    eps_curve: bool  # the blind region lies above the edge; squeezing_range measures how far detection reaches
+
+
+CHANNELS = {
+    "loss": Channel(apply_loss, "eta", (1e-6, 1.0), (0.05, 0.95, 120), {B_TO_A: lambda r: 0.5}, False),
+    "gain": Channel(apply_gain, "gain", (1 + 1e-12, 6.0), (1.0, 2.0, 120), {A_TO_B: gaussian_gain_boundary}, True),
+}
 
 # Largest sweep grid, and points per batch: the default 120x120 grid is one
 # batch, and the working arrays stay near 3 kB per point however large the grid.
@@ -38,14 +48,15 @@ MAX_GRID_POINTS = 250_000
 _SWEEP_BATCH = 16_384
 
 
+def _channel(name: str) -> Channel:
+    if name not in CHANNELS:
+        raise ValueError(f"unknown channel {name!r}")
+    return CHANNELS[name]
+
+
 def channel_covariance(channel: str, r, param) -> TwoModeCovariance:
     """Squeezed vacuum through the named channel on mode B (1-D r and param: a batch)."""
-    base = tmsv_covariance(r)
-    if channel == "loss":
-        return apply_loss(base, param, "B")
-    if channel == "gain":
-        return apply_gain(base, param, "B")
-    raise ValueError(f"unknown channel {channel!r}")
+    return _channel(channel).apply(tmsv_covariance(r), param, "B")
 
 
 def batch_margins(channel: str, rs, params, criteria) -> list[np.ndarray]:
@@ -59,29 +70,25 @@ def batch_margins(channel: str, rs, params, criteria) -> list[np.ndarray]:
     if any(criterion not in CRITERIA for criterion, _ in criteria):
         raise ValueError(f"unknown criterion in {criteria!r}")
     cov = channel_covariance(channel, rs, params)
-    levels = {TLOO_LEVELS[c] for c, _ in criteria if c != "gaussian"}
+    levels = {CRITERIA[c] for c, _ in criteria} - {None}
     if levels:
         rho = fock_density(cov, max(levels), max(levels))  # checks the channel output
     else:
         require_physical(cov)
     corr = {n: correlation_matrix(rho, n, n) for n in levels}
     norm = {n: c.trace_norm for n, c in corr.items()}
-    margins = []
-    for criterion, direction in criteria:
-        if criterion == "gaussian":
-            margins.append(gaussian_margin(cov, direction))
-        else:
-            n = TLOO_LEVELS[criterion]
-            margins.append(norm[n] - criterion_rhs(corr[n], direction))
-    return margins
+
+    def margin(criterion: str, direction: str):
+        n = CRITERIA[criterion]
+        return gaussian_margin(cov, direction) if n is None else norm[n] - criterion_rhs(corr[n], direction)
+
+    return [margin(*pair) for pair in criteria]
 
 
-def evaluate_point(
-    channel: str, r: float, param: float, criterion: str, direction: str
-) -> SteeringVerdict:
+def evaluate_point(channel: str, r: float, param: float, criterion: str, direction: str) -> SteeringVerdict:
     """Run one criterion at one grid point, as a batch of one."""
     (margin,) = batch_margins(channel, np.array([r]), np.array([param]), ((criterion, direction),))
-    return SteeringVerdict.from_margin(criterion.split("-")[0], direction, margin[0])
+    return SteeringVerdict.from_margin(criterion, direction, margin[0])
 
 
 @dataclass(frozen=True)
@@ -94,30 +101,23 @@ class SweepSpec:
     criteria: tuple[tuple[str, str], ...]  # (criterion, direction) pairs
 
     def __post_init__(self):
-        if self.channel not in ("loss", "gain"):
-            raise ValueError(f"unknown channel {self.channel!r}")
         for name, (lo, hi, steps) in (("r", self.r_range), ("param", self.param_range)):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
+            if not np.isfinite((lo, hi)).all():
                 raise ValueError(f"{name} range bounds must be finite, got ({lo}, {hi})")
             if steps < 2:
                 raise ValueError(f"{name} range needs at least 2 steps, got {steps}")
             if not lo <= hi:
                 raise ValueError(f"{name} range is inverted: ({lo}, {hi})")
-        lo, hi, _ = self.param_range
-        if self.channel == "loss" and not (0.0 < lo and hi <= 1.0):
-            raise ValueError("loss transmittance range must lie in (0, 1]")
-        if self.channel == "gain" and lo < 1.0:
-            raise ValueError("gain range must start at >= 1")
-        if self.r_range[0] < 0.0:
-            raise ValueError("squeezing range must be non-negative")
         points = self.r_range[2] * self.param_range[2]
         if points > MAX_GRID_POINTS:
             raise ValueError(f"grid has {points} points; at most {MAX_GRID_POINTS} are supported")
         for criterion, direction in self.criteria:
             if criterion not in CRITERIA:
                 raise ValueError(f"unknown criterion {criterion!r}")
-            if direction not in DIRECTION_LABELS:
+            if direction not in DIRECTIONS:
                 raise ValueError(f"unknown direction {direction!r}")
+        # The channel rejects squeezing or parameter values outside its domain.
+        channel_covariance(self.channel, np.array(self.r_range[:2]), np.array(self.param_range[:2]))
 
     def grid(self) -> list[tuple[float, float]]:
         r_lo, r_hi, r_steps = self.r_range
@@ -153,9 +153,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def write_sweep_csv(rows: list[SweepRow], stream) -> None:
-    """Write sweep rows with the fixed header, 9 significant digits."""
+    """Write sweep rows under a header of the SweepRow field names, 9 significant digits."""
     writer = csv.writer(stream)
-    writer.writerow(CSV_HEADER)
+    writer.writerow([field.name for field in fields(SweepRow)])
     for row in rows:
         writer.writerow(
             [
@@ -177,7 +177,7 @@ def find_boundary(channel: str, r: float, criterion: str, direction: str) -> flo
     """
     if r <= 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got {r}")
-    lo, hi = _LOSS_BRACKET if channel == "loss" else _GAIN_BRACKET
+    lo, hi = _channel(channel).bracket
 
     def margin(param: float) -> float:
         return evaluate_point(channel, r, param, criterion, direction).margin
@@ -185,17 +185,18 @@ def find_boundary(channel: str, r: float, criterion: str, direction: str) -> flo
     m_lo, m_hi = margin(lo), margin(hi)
     if (m_lo > 0.0) == (m_hi > 0.0):
         return None
-    return float(bisect(margin, lo, hi, xtol=_BOUNDARY_XTOL, maxiter=200))
+    return float(bisect(margin, lo, hi, xtol=BISECT_XTOL, maxiter=BISECT_MAXITER))
 
 
 @dataclass(frozen=True)
 class SqueezingRange:
     """Squeezing interval where a TLOO criterion beats the Gaussian one.
 
-    For the loss channel the Gaussian-blind region is transmittance below 1/2;
-    detection there exists iff the margin at 1/2 is positive (the margin is
-    single-crossing in the transmittance).  For the gain channel the blind
-    region is gain above the Gaussian boundary, and eps_curve records the
+    The Gaussian criterion is blind only for loss B->A, at transmittance below
+    1/2, and for gain A->B, at gain above its boundary; blind_region is False
+    for the other two cases, which are never detected.  Under loss, detection
+    in the blind region exists iff the margin at 1/2 is positive (the margin is
+    single-crossing in the transmittance).  Under gain, eps_curve records the
     measured excess gain (r, detected gain minus Gaussian boundary) at every
     detected squeezing.
     """
@@ -207,18 +208,15 @@ class SqueezingRange:
     r_low: float | None = None
     r_high: float | None = None
     eps_curve: tuple[tuple[float, float], ...] | None = None
+    blind_region: bool = True
 
     @property
     def eps_max(self) -> float | None:
-        if not self.eps_curve:
-            return None
-        return max(eps for _, eps in self.eps_curve)
+        return max(eps for _, eps in self.eps_curve) if self.eps_curve else None
 
     @property
     def eps_argmax(self) -> float | None:
-        if not self.eps_curve:
-            return None
-        return max(self.eps_curve, key=lambda pair: pair[1])[0]
+        return max(self.eps_curve, key=lambda pair: pair[1])[0] if self.eps_curve else None
 
 
 def squeezing_range(
@@ -233,21 +231,21 @@ def squeezing_range(
     Scans r on a uniform grid with endpoint refinement by bisection; only the
     TLOO criteria are meaningful here.
     """
-    if criterion not in TLOO_LEVELS:
+    if CRITERIA.get(criterion) is None:
         raise ValueError(f"squeezing-range scan requires a TLOO criterion, got {criterion!r}")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    spec = _channel(channel)
+    edge = spec.blind_edge.get(direction)
+    if edge is None:
+        return SqueezingRange(channel, criterion, direction, False, blind_region=False)
     steps = int(round(r_max / r_step))
     rs = [r_step * i for i in range(1, steps + 1)]
 
-    if channel not in ("loss", "gain"):
-        raise ValueError(f"unknown channel {channel!r}")
-
-    def blind_param(r: float) -> float:
-        return 0.5 if channel == "loss" else gaussian_gain_boundary(r)
-
     def blind_margin(r: float) -> float:
-        return evaluate_point(channel, r, blind_param(r), criterion, direction).margin
+        return evaluate_point(channel, r, edge(r), criterion, direction).margin
 
-    params = [blind_param(r) for r in rs]
+    params = [edge(r) for r in rs]
     (margins,) = batch_margins(channel, np.array(rs), np.array(params), ((criterion, direction),))
     detected = [m > MARGIN_TOL for m in margins.tolist()]
     if not any(detected):
@@ -258,30 +256,31 @@ def squeezing_range(
     r_low, r_high = rs[first], rs[last]
     # Refine endpoints where a sign change brackets them.
     if first > 0:
-        r_low = float(bisect(blind_margin, rs[first - 1], rs[first], xtol=1e-6, maxiter=200))
+        r_low = float(bisect(blind_margin, rs[first - 1], rs[first], xtol=1e-6, maxiter=BISECT_MAXITER))
     if last < len(rs) - 1:
-        r_high = float(bisect(blind_margin, rs[last], rs[last + 1], xtol=1e-6, maxiter=200))
+        r_high = float(bisect(blind_margin, rs[last], rs[last + 1], xtol=1e-6, maxiter=BISECT_MAXITER))
 
     eps_curve = None
-    if channel == "gain":
+    if spec.eps_curve:
         curve = []
+        top = spec.bracket[1]
         for r, boundary, hit in zip(rs, params, detected):
             if not hit:
                 continue
 
-            def margin_at(gain: float) -> float:
-                return evaluate_point("gain", r, gain, criterion, direction).margin
+            def margin_at(param: float) -> float:
+                return evaluate_point(channel, r, param, criterion, direction).margin
 
-            # The margin must turn non-positive inside the gain bracket.
+            # The margin must turn non-positive inside the parameter bracket.
             hi = boundary + 0.5
             while margin_at(hi) > 0.0:
-                if hi >= _GAIN_BRACKET[1]:
+                if hi >= top:
                     raise ValueError(
-                        f"{criterion} margin stays positive up to gain {_GAIN_BRACKET[1]} at r={r:.9g}"
+                        f"{criterion} margin stays positive up to {spec.param} {top} at r={r:.9g}"
                     )
-                hi = min(hi + 0.5, _GAIN_BRACKET[1])
-            edge = float(bisect(margin_at, boundary, hi, xtol=1e-8, maxiter=200))
-            curve.append((r, edge - boundary))
+                hi = min(hi + 0.5, top)
+            reach = float(bisect(margin_at, boundary, hi, xtol=BISECT_XTOL, maxiter=BISECT_MAXITER))
+            curve.append((r, reach - boundary))
         eps_curve = tuple(curve)
 
     return SqueezingRange(channel, criterion, direction, True, r_low, r_high, eps_curve)

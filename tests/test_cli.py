@@ -134,6 +134,16 @@ def test_boundary_tloo(capsys):
 def test_rrange_requires_tloo(capsys):
     code = run_cli("rrange", "--channel", "loss", "--criterion", "gaussian")
     assert code == 2
+    assert "'gaussian'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel, direction", [("loss", "a-to-b"), ("gain", "b-to-a")])
+def test_rrange_without_blind_region_exits_3(capsys, channel, direction):
+    code = run_cli("rrange", "--channel", channel, "--level", "2", "--direction", direction,
+                   "--r-step", "0.05", "--r-max", "1.2")
+    assert code == 3
+    out = capsys.readouterr().out
+    assert out == f"no Gaussian-blind region for {channel} {direction}\n"
 
 
 def test_rrange_loss(capsys):
@@ -146,24 +156,87 @@ def test_rrange_loss(capsys):
     assert float(values["r_high"]) == pytest.approx(0.869, abs=0.015)
 
 
+def golden(name: str, code: int = 0):
+    """Exit code and stdout of a subcommand, captured at the commit before the
+    CLI was reduced to a thin edge over the library tables."""
+    return code, (DATA / "cli" / f"{name}.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
         (
-            ("--channel", "loss", "--level", "3", "--direction", "b-to-a"),
+            ("rrange", "--channel", "loss", "--level", "3", "--direction", "b-to-a",
+             "--r-step", "0.02", "--r-max", "1.2"),
             "r_low=0.363761597\nr_high=0.986912231\n",
         ),
         (
-            ("--channel", "gain", "--level", "2", "--direction", "a-to-b"),
+            ("rrange", "--channel", "gain", "--level", "2", "--direction", "a-to-b",
+             "--r-step", "0.02", "--r-max", "1.2"),
             "r_low=0.02\nr_high=0.648381958\neps_max=0.0508789048\neps_argmax=0.4\n",
+        ),
+        pytest.param(
+            ("rrange", "--channel", "gain", "--level", "2", "--direction", "a-to-b",
+             "--r-step", "0.02", "--r-max", "1.2", "--out", "-"),
+            golden("rrange_gain_eps_csv"),
+            id="rrange-gain-eps-csv",
+        ),
+        pytest.param(
+            ("boundary", "--channel", "loss", "--r", "0.4", "--criterion", "tloo", "--level", "2",
+             "--direction", "b-to-a"),
+            (0, "eta=0.399438244\n"),
+            id="boundary-loss-tloo-n2",
+        ),
+        pytest.param(
+            ("boundary", "--channel", "gain", "--r", "0.5", "--criterion", "gaussian",
+             "--direction", "a-to-b"),
+            (0, "gain=1.21355228\n"),
+            id="boundary-gain-gaussian-a-to-b",
+        ),
+        pytest.param(
+            ("boundary", "--channel", "gain", "--r", "0.5", "--criterion", "gaussian",
+             "--direction", "b-to-a"),
+            (3, "no boundary: gaussian b-to-a margin does not change sign over the physical "
+                "gain range at r=0.5\n"),
+            id="boundary-gain-gaussian-b-to-a",
+        ),
+        pytest.param(
+            ("monogamy", "--r", "0.4", "--eta", "0.55"),
+            (0, "r=0.4 eta=0.55\n"
+                "Bob -> Alice (gaussian, transmittance 0.55): steerable=true margin=0.0218423369\n"
+                "Eve -> Alice (tloo-n2, transmittance 0.45): steerable=true margin=0.0344854266\n"
+                "simultaneous steering: true\n"),
+            id="monogamy-text",
+        ),
+        pytest.param(
+            ("monogamy", "--r", "0.4", "--eta", "0.55", "--format", "json"),
+            golden("monogamy_json"),
+            id="monogamy-json",
+        ),
+        pytest.param(
+            ("fock-dump", "--channel", "loss", "--r", "0.5", "--eta", "0.5", "--cutoffs", "3", "3"),
+            golden("fock_dump_loss"),
+            id="fock-dump-loss",
+        ),
+        pytest.param(
+            ("fock-dump", "--channel", "gain", "--r", "0.3", "--gain", "1.1", "--cutoffs", "3", "3"),
+            golden("fock_dump_gain"),
+            id="fock-dump-gain",
+        ),
+        pytest.param(
+            ("sweep", "--channel", "gain", "--r-range", "0.2", "0.6", "3",
+             "--param-range", "1.0", "1.4", "3", "--format", "json"),
+            golden("sweep_gain_3x3_json"),
+            id="sweep-gain-3x3-json",
         ),
     ],
 )
 def test_rrange_output_unchanged(capsys, argv, expected):
-    # Printed by the per-point scan that preceded the batched one.
-    code = run_cli("rrange", *argv, "--r-step", "0.02", "--r-max", "1.2")
-    assert code == 0
-    assert capsys.readouterr().out == expected
+    # Every subcommand prints the same bytes as before the CLI was rewritten;
+    # a bare string is the stdout of a command that exits 0.
+    code, out = (0, expected) if isinstance(expected, str) else expected
+    assert run_cli(*argv) == code
+    assert capsys.readouterr().out == out
 
 
 def test_monogamy_text(capsys):
@@ -184,6 +257,44 @@ def test_monogamy_json(capsys):
 
 def test_monogamy_rejects_eta(capsys):
     assert run_cli("monogamy", "--r", "0.4", "--eta", "1.0") == 2
+    assert "got 1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "channel, param_range, bad",
+    [
+        ("loss", ("0.0", "0.6", "3"), "got 0.0"),
+        ("loss", ("0.3", "1.2", "3"), "got 1.2"),
+        ("gain", ("0.5", "1.2", "3"), "got 0.5"),
+    ],
+)
+def test_sweep_rejects_parameter_outside_channel_domain(capsys, channel, param_range, bad):
+    code = run_cli("sweep", "--channel", channel, "--r-range", "0.1", "0.5", "3",
+                   "--param-range", *param_range)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert bad in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("boundary", "--channel", "loss", "--r", "nan"),
+        ("boundary", "--channel", "loss", "--r", "inf"),
+        ("boundary", "--channel", "gain", "--r", "7.75", "--direction", "a-to-b"),
+        ("sweep", "--channel", "loss", "--r-range", "0.1", "1e6", "2", "--param-range", "0.5", "1", "2"),
+        ("sweep", "--channel", "loss", "--r-range", "0", "20", "3", "--param-range", "0.5", "1", "2"),
+        ("monogamy", "--r", "nan", "--eta", "0.5"),
+        ("fock-dump", "--channel", "loss", "--r", "30", "--eta", "0.5"),
+    ],
+)
+def test_squeezing_limit_at_the_edge(capsys, argv):
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "squeezing parameter must lie in [0, 5]" in captured.err
+    assert captured.out == ""
 
 
 def test_fock_dump_vacuum(capsys):

@@ -3,6 +3,7 @@ import pytest
 from conftest import gain_dilation, loss_dilation
 
 from cvsteer import (
+    MAX_SQUEEZING,
     TwoModeCovariance,
     apply_gain,
     apply_loss,
@@ -47,6 +48,19 @@ def test_tmsv_values():
 def test_tmsv_rejects_negative_squeezing():
     with pytest.raises(ValueError):
         tmsv_covariance(-0.1)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf, 5.0 + 1e-9, 7.75, 1e6])
+def test_tmsv_rejects_non_finite_and_large_squeezing(r):
+    with pytest.raises(ValueError, match=r"\[0, 5\]"):
+        tmsv_covariance(r)
+    with pytest.raises(ValueError, match=r"\[0, 5\]"):
+        tmsv_covariance(np.array([0.5, r]))
+
+
+def test_tmsv_accepts_the_squeezing_limit():
+    assert MAX_SQUEEZING == 5.0
+    assert check_physical(tmsv_covariance(MAX_SQUEEZING))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 1.0, 2.0])
@@ -115,6 +129,14 @@ def test_gain_values():
 def test_gain_rejects_below_unity():
     with pytest.raises(ValueError):
         apply_gain(tmsv_covariance(0.3), 0.9)
+
+
+@pytest.mark.parametrize("gain", [np.nan, np.inf])
+def test_gain_rejects_non_finite(gain):
+    with pytest.raises(ValueError, match="finite"):
+        apply_gain(tmsv_covariance(0.3), gain)
+    with pytest.raises(ValueError, match="finite"):
+        apply_gain(tmsv_covariance(np.array([0.3, 0.4])), np.array([1.2, gain]))
 
 
 def test_gain_matches_squeezer_dilation():

@@ -4,6 +4,8 @@ import pytest
 from cvsteer import (
     A_TO_B,
     B_TO_A,
+    MARGIN_TOL,
+    MAX_SQUEEZING,
     TwoModeCovariance,
     apply_gain,
     apply_loss,
@@ -118,6 +120,26 @@ def test_gain_boundary_closed_form(r):
 
 def test_gain_boundary_settles_to_one_at_zero_squeezing():
     assert gaussian_gain_boundary(1e-9) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_margin_vanishes_on_exact_boundaries_up_to_the_squeezing_limit():
+    # Loss B->A at eta = 1/2 and gain A->B at G*(r) = 2 cosh2r / (cosh2r + 1)
+    # lie exactly on the Gaussian boundary; the computed margin stays far
+    # inside the conservative band for every allowed squeezing.
+    worst = 0.0
+    for r in np.arange(0.25, MAX_SQUEEZING + 0.125, 0.25):
+        ch = np.cosh(2 * r)
+        loss = gaussian_margin(apply_loss(tmsv_covariance(r), 0.5, "B"), B_TO_A)
+        gain = gaussian_margin(apply_gain(tmsv_covariance(r), 2 * ch / (ch + 1), "B"), A_TO_B)
+        worst = max(worst, abs(loss), abs(gain))
+    assert worst < MARGIN_TOL / 10
+
+
+def test_squeezing_beyond_the_limit_is_rejected():
+    # At r = 7.75 the boundary margin would read 2.4e-10 > MARGIN_TOL: a
+    # non-conservative "steerable".  Such states are never built.
+    with pytest.raises(ValueError, match="squeezing"):
+        gaussian_steerable(apply_loss(tmsv_covariance(7.75), 0.5, "B"), B_TO_A)
 
 
 def test_boundaries_reject_nonpositive_squeezing():

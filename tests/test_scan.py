@@ -233,6 +233,20 @@ def test_squeezing_range_guard():
         squeezing_range("loss", "gaussian", B_TO_A)
 
 
+@pytest.mark.parametrize("channel, direction", [("loss", A_TO_B), ("gain", B_TO_A)])
+def test_squeezing_range_without_blind_region(monkeypatch, channel, direction):
+    # The Gaussian criterion detects loss A->B and gain B->A at every channel
+    # parameter (Kogias et al., PRL 114, 060403), so nothing is scanned.
+    def no_scan(*args):
+        raise AssertionError("scanned a channel and direction with no Gaussian-blind region")
+
+    monkeypatch.setattr(scan, "batch_margins", no_scan)
+    result = squeezing_range(channel, "tloo-n2", direction, r_step=0.05, r_max=1.2)
+    assert not result.detected
+    assert not result.blind_region
+    assert (result.r_low, result.r_high, result.eps_curve) == (None, None, None)
+
+
 def test_squeezing_range_loss_two_level_coarse():
     result = squeezing_range("loss", "tloo-n2", B_TO_A, r_step=0.01, r_max=1.2)
     assert result.detected
