@@ -4,9 +4,11 @@ Builds standard-form covariance matrices for two-mode squeezed vacua under
 loss and amplification, decides steerability under the Gaussian-measurement
 criterion, and detects steering the Gaussian criterion misses via truncated
 local orthogonal observables evaluated on exact Fock-basis reconstructions.
+The names imported below are the public API.
 """
 
 from .covariance import (
+    MAX_GAIN,
     MAX_SQUEEZING,
     PHYSICALITY_TOL,
     TwoModeCovariance,
@@ -60,59 +62,5 @@ from .tloo_criterion import (
     tloo_steerable,
 )
 from .verdict import A_TO_B, B_TO_A, MARGIN_TOL, SteeringVerdict
-
-__all__ = [
-    "A_TO_B",
-    "B_TO_A",
-    "CorrelationMatrix",
-    "FockDensity",
-    "MARGIN_TOL",
-    "MAX_ORDER",
-    "MAX_SQUEEZING",
-    "MonogamyReport",
-    "PHYSICALITY_TOL",
-    "SqueezingRange",
-    "SteeringVerdict",
-    "SweepRow",
-    "SweepSpec",
-    "TlooSet",
-    "TwoModeCovariance",
-    "Witness",
-    "apply_gain",
-    "apply_loss",
-    "build_tloos",
-    "build_witness",
-    "channel_covariance",
-    "check_physical",
-    "correlation_matrix",
-    "criterion_rhs",
-    "evaluate_point",
-    "expectation_values",
-    "find_boundary",
-    "fock_density",
-    "fock_density_json",
-    "gaussian_gain_boundary",
-    "gaussian_loss_boundary",
-    "gaussian_margin",
-    "gaussian_steerable",
-    "hermite_coefficient",
-    "hermite_kernel",
-    "lossy_tmsv_element",
-    "monogamy_report",
-    "optimal_gain",
-    "paired_variance_sum",
-    "physicality_eigenvalue",
-    "rotate_tloos",
-    "run_sweep",
-    "squeezing_range",
-    "swap_fock_modes",
-    "symplectic_form",
-    "thermal_marginal",
-    "thermal_occupations",
-    "tloo_steerable",
-    "tmsv_covariance",
-    "uncertainty_sum",
-    "write_sweep_csv",
-]
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .covariance import tmsv_covariance
+from .covariance import MAX_GAIN, tmsv_covariance
 from .fock import fock_density, fock_density_json
 from .scan import (
     CHANNELS,
@@ -70,13 +70,15 @@ def cmd_boundary(args) -> int:
     criterion = _criterion(args)
     boundary = find_boundary(args.channel, args.r, criterion, DIRECTION_FROM_LABEL[args.direction])
     param_name = CHANNELS[args.channel].param
-    if boundary is None:
-        print(
-            f"no boundary: {criterion} {args.direction} margin does not change sign "
-            f"over the physical {param_name} range at r={args.r:.9g}"
-        )
-        return EXIT_NO_BOUNDARY
-    print(f"{param_name}={boundary:.9g}")
+    with _output(args.out) as stream:
+        if boundary is None:
+            print(
+                f"no boundary: {criterion} {args.direction} margin does not change sign "
+                f"over the physical {param_name} range at r={args.r:.9g}",
+                file=stream,
+            )
+            return EXIT_NO_BOUNDARY
+        print(f"{param_name}={boundary:.9g}", file=stream)
     return EXIT_OK
 
 
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=("none", *CHANNELS), default="none")
     _add_common(p, "r")
     p.add_argument("--eta", type=float, help="loss transmittance in (0, 1]")
-    p.add_argument("--gain", type=float, help="amplifier gain factor >= 1")
+    p.add_argument("--gain", type=float, help=f"amplifier gain factor in [1, {MAX_GAIN:g}]")
     _add_common(p, "out")
     p.add_argument("--cutoffs", nargs=2, type=int, metavar=("NA", "NB"), default=(3, 3))
     p.set_defaults(func=cmd_fock_dump)

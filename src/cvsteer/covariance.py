@@ -20,6 +20,11 @@ PHYSICALITY_TOL = 1e-10
 # the physicality check of pure states and the conservative verdicts at MARGIN_TOL.
 MAX_SQUEEZING = 5.0
 
+# Largest amplifier gain accepted.  Up to G = 100 the physicality check accepts
+# every amplified squeezed vacuum with r <= MAX_SQUEEZING; at G = 300 it rejects
+# physical states from r = 4.64, and from G = 1e15 the Gaussian margins turn wrong.
+MAX_GAIN = 100.0
+
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -114,12 +119,13 @@ def apply_loss(cov: TwoModeCovariance, eta, mode: str = "B") -> TwoModeCovarianc
 
 
 def apply_gain(cov: TwoModeCovariance, gain, mode: str = "B") -> TwoModeCovariance:
-    """Phase-insensitive amplifier with gain factor >= 1 on one mode.
+    """Phase-insensitive amplifier with gain factor 1 <= G <= MAX_GAIN on one mode.
 
     The targeted diagonal maps to G*x + G - 1 and both couplings pick up a
     factor sqrt(G).
     """
-    _require(np.greater_equal(gain, 1.0) & np.isfinite(gain), gain, "gain factor must be finite and >= 1")
+    _require(np.greater_equal(gain, 1.0) & np.less_equal(gain, MAX_GAIN), gain,
+             f"gain factor must be finite and lie in [1, {MAX_GAIN:g}]")
     require_physical(cov)
     s = np.sqrt(gain)
     if mode == "B":

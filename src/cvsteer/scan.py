@@ -12,11 +12,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .covariance import TwoModeCovariance, apply_gain, apply_loss, require_physical, tmsv_covariance
 from .fock import fock_density
-from .gaussian_criterion import BISECT_MAXITER, BISECT_XTOL, gaussian_gain_boundary, gaussian_margin
+from .gaussian_criterion import bisect, gaussian_gain_boundary, gaussian_margin
 from .tloo_criterion import correlation_matrix, criterion_rhs
 from .verdict import A_TO_B, B_TO_A, DIRECTION_LABELS, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
@@ -32,18 +31,19 @@ class Channel:
     param: str  # name of the channel parameter
     bracket: tuple[float, float]  # parameter interval searched for boundaries
     default_range: tuple[float, float, int]  # default sweep grid of the parameter
-    # Direction -> parameter, as a function of r, where the Gaussian criterion turns blind (no entry: never).
-    blind_edge: dict[str, Callable[[float], float]]
+    # Direction -> parameters, as a function of a 1-D r, where the Gaussian criterion turns blind (no entry: never).
+    blind_edge: dict[str, Callable[[np.ndarray], np.ndarray]]
     eps_curve: bool  # the blind region lies above the edge; squeezing_range measures how far detection reaches
 
 
 CHANNELS = {
-    "loss": Channel(apply_loss, "eta", (1e-6, 1.0), (0.05, 0.95, 120), {B_TO_A: lambda r: 0.5}, False),
+    "loss": Channel(apply_loss, "eta", (1e-6, 1.0), (0.05, 0.95, 120), {B_TO_A: lambda r: np.full_like(r, 0.5)}, False),
     "gain": Channel(apply_gain, "gain", (1 + 1e-12, 6.0), (1.0, 2.0, 120), {A_TO_B: gaussian_gain_boundary}, True),
 }
 
-# Largest sweep grid, and points per batch: the default 120x120 grid is one
-# batch, and the working arrays stay near 3 kB per point however large the grid.
+# Largest sweep grid or squeezing scan, and points per batch: the default 120x120
+# grid is one batch, and the working arrays stay near 3 kB per point however
+# large the grid.
 MAX_GRID_POINTS = 250_000
 _SWEEP_BATCH = 16_384
 
@@ -66,9 +66,14 @@ def batch_margins(channel: str, rs, params, criteria) -> list[np.ndarray]:
     The stack is checked once as squeezed vacuum and once as channel output,
     one Fock density at the largest level serves every level (elements below
     a cutoff do not depend on it) and a trace norm serves both directions.
+    Batches above _SWEEP_BATCH points are evaluated in parts.
     """
     if any(criterion not in CRITERIA for criterion, _ in criteria):
         raise ValueError(f"unknown criterion in {criteria!r}")
+    if len(rs) > _SWEEP_BATCH:
+        parts = [batch_margins(channel, rs[i : i + _SWEEP_BATCH], params[i : i + _SWEEP_BATCH], criteria)
+                 for i in range(0, len(rs), _SWEEP_BATCH)]
+        return [np.concatenate(pair) for pair in zip(*parts)]
     cov = channel_covariance(channel, rs, params)
     levels = {CRITERIA[c] for c, _ in criteria} - {None}
     if levels:
@@ -140,11 +145,7 @@ class SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every (criterion, direction) at every grid point, batched, in grid order."""
     points = spec.grid()
-    margins = [[] for _ in spec.criteria]
-    for start in range(0, len(points), _SWEEP_BATCH):
-        rs, params = np.array(points[start : start + _SWEEP_BATCH]).T
-        for out, batch in zip(margins, batch_margins(spec.channel, rs, params, spec.criteria)):
-            out.extend(batch.tolist())
+    margins = [m.tolist() for m in batch_margins(spec.channel, *np.array(points).T, spec.criteria)]
     return [
         SweepRow(r, param, criterion, direction, m[i], m[i] > MARGIN_TOL)
         for i, (r, param) in enumerate(points)
@@ -178,14 +179,16 @@ def find_boundary(channel: str, r: float, criterion: str, direction: str) -> flo
     if r <= 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got {r}")
     lo, hi = _channel(channel).bracket
-
-    def margin(param: float) -> float:
-        return evaluate_point(channel, r, param, criterion, direction).margin
-
-    m_lo, m_hi = margin(lo), margin(hi)
+    margins = _margins(channel, criterion, direction, np.array([r, r]))
+    m_lo, m_hi = margins(np.arange(2), np.array([lo, hi]))
     if (m_lo > 0.0) == (m_hi > 0.0):
         return None
-    return float(bisect(margin, lo, hi, xtol=BISECT_XTOL, maxiter=BISECT_MAXITER))
+    return float(bisect(margins, [lo], [hi])[0])
+
+
+def _margins(channel: str, criterion: str, direction: str, rs: np.ndarray):
+    """margins(index, param) of one criterion at the squeezings rs[index], as one batch."""
+    return lambda i, param: batch_margins(channel, rs[i], param, ((criterion, direction),))[0]
 
 
 @dataclass(frozen=True)
@@ -228,60 +231,56 @@ def squeezing_range(
 ) -> SqueezingRange:
     """Scan squeezing for detection inside the Gaussian-blind region.
 
-    Scans r on a uniform grid with endpoint refinement by bisection; only the
-    TLOO criteria are meaningful here.
+    Scans r on a uniform grid of r_max / r_step (1 to MAX_GRID_POINTS) points
+    with endpoint refinement by bisection; only the TLOO criteria are
+    meaningful here.
     """
     if CRITERIA.get(criterion) is None:
         raise ValueError(f"squeezing-range scan requires a TLOO criterion, got {criterion!r}")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
+    for name, value in (("r_step", r_step), ("r_max", r_max)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    steps = int(round(r_max / r_step))
+    if not 1 <= steps <= MAX_GRID_POINTS:
+        raise ValueError(f"squeezing scan has {steps} points; it needs 1 to {MAX_GRID_POINTS}")
     spec = _channel(channel)
     edge = spec.blind_edge.get(direction)
     if edge is None:
         return SqueezingRange(channel, criterion, direction, False, blind_region=False)
-    steps = int(round(r_max / r_step))
-    rs = [r_step * i for i in range(1, steps + 1)]
-
-    def blind_margin(r: float) -> float:
-        return evaluate_point(channel, r, edge(r), criterion, direction).margin
-
-    params = [edge(r) for r in rs]
-    (margins,) = batch_margins(channel, np.array(rs), np.array(params), ((criterion, direction),))
-    detected = [m > MARGIN_TOL for m in margins.tolist()]
-    if not any(detected):
+    pair = ((criterion, direction),)
+    rs = r_step * np.arange(1, steps + 1)
+    # Blind edges a batch at a time too, so their working arrays stay bounded.
+    params = np.concatenate([edge(rs[i : i + _SWEEP_BATCH]) for i in range(0, steps, _SWEEP_BATCH)])
+    detected = batch_margins(channel, rs, params, pair)[0] > MARGIN_TOL
+    if not detected.any():
         return SqueezingRange(channel, criterion, direction, False)
 
-    first = detected.index(True)
-    last = len(detected) - 1 - detected[::-1].index(True)
-    r_low, r_high = rs[first], rs[last]
-    # Refine endpoints where a sign change brackets them.
-    if first > 0:
-        r_low = float(bisect(blind_margin, rs[first - 1], rs[first], xtol=1e-6, maxiter=BISECT_MAXITER))
-    if last < len(rs) - 1:
-        r_high = float(bisect(blind_margin, rs[last], rs[last + 1], xtol=1e-6, maxiter=BISECT_MAXITER))
+    def blind(_, r):
+        return batch_margins(channel, r, edge(r), pair)[0]
+
+    # Refine each end where a sign change brackets it; an empty bracket keeps the scan point.
+    first, last = np.flatnonzero(detected)[[0, -1]]
+    lo, hi = rs[[max(first - 1, 0), last]], rs[[first, min(last + 1, steps - 1)]]
+    r_low, r_high = bisect(blind, lo, hi, xtol=1e-6).tolist()
 
     eps_curve = None
     if spec.eps_curve:
-        curve = []
-        top = spec.bracket[1]
-        for r, boundary, hit in zip(rs, params, detected):
-            if not hit:
-                continue
-
-            def margin_at(param: float) -> float:
-                return evaluate_point(channel, r, param, criterion, direction).margin
-
-            # The margin must turn non-positive inside the parameter bracket.
-            hi = boundary + 0.5
-            while margin_at(hi) > 0.0:
-                if hi >= top:
-                    raise ValueError(
-                        f"{criterion} margin stays positive up to {spec.param} {top} at r={r:.9g}"
-                    )
-                hi = min(hi + 0.5, top)
-            reach = float(bisect(margin_at, boundary, hi, xtol=BISECT_XTOL, maxiter=BISECT_MAXITER))
-            curve.append((r, reach - boundary))
-        eps_curve = tuple(curve)
+        r_hit, boundary = rs[detected], params[detected]
+        margins = _margins(channel, criterion, direction, r_hit)
+        # Walk each detected r up in 0.5 steps until the margin turns non-positive
+        # inside the parameter bracket, then bisect between boundary and that point.
+        top, hi = spec.bracket[1], boundary + 0.5
+        walking, stuck = np.arange(r_hit.size), []
+        while walking.size:
+            walking = walking[margins(walking, hi[walking]) > 0.0]
+            stuck += walking[hi[walking] >= top].tolist()
+            walking = walking[hi[walking] < top]
+            hi[walking] = np.minimum(hi[walking] + 0.5, top)
+        if stuck:
+            raise ValueError(f"{criterion} margin stays positive up to {spec.param} {top} at r={r_hit[min(stuck)]:.9g}")
+        eps_curve = tuple(zip(r_hit.tolist(), (bisect(margins, boundary, hi) - boundary).tolist()))
 
     return SqueezingRange(channel, criterion, direction, True, r_low, r_high, eps_curve)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,14 @@ def test_boundary_none_exit_code(capsys):
     assert "no boundary" in capsys.readouterr().out
 
 
+def test_boundary_writes_to_out(tmp_path, capsys):
+    out = tmp_path / "boundary.txt"
+    code = run_cli("boundary", "--channel", "loss", "--r", "0.4", "--out", str(out))
+    assert code == 0
+    assert out.read_text() == "eta=0.500000001\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_boundary_tloo(capsys):
     code = run_cli("boundary", "--channel", "loss", "--r", "0.4",
                    "--criterion", "tloo", "--level", "2", "--direction", "b-to-a")
@@ -144,6 +155,26 @@ def test_rrange_without_blind_region_exits_3(capsys, channel, direction):
     assert code == 3
     out = capsys.readouterr().out
     assert out == f"no Gaussian-blind region for {channel} {direction}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, bad",
+    [
+        (("--r-step", "0"), "r_step must be finite and > 0, got 0.0"),
+        (("--r-step", "-0.1"), "r_step must be finite and > 0, got -0.1"),
+        (("--r-step", "nan"), "r_step must be finite and > 0, got nan"),
+        (("--r-max", "-1"), "r_max must be finite and > 0, got -1.0"),
+        (("--r-max", "inf"), "r_max must be finite and > 0, got inf"),
+        (("--r-step", "0.5", "--r-max", "0.2"), "squeezing scan has 0 points; it needs 1 to 250000"),
+        (("--r-step", "1e-9"), "squeezing scan has 1400000000 points; it needs 1 to 250000"),
+    ],
+)
+def test_rrange_rejects_bad_scan_at_the_edge(capsys, flags, bad):
+    code = run_cli("rrange", "--channel", "loss", "--level", "2", *flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {bad}\n"
+    assert captured.out == ""
 
 
 def test_rrange_loss(capsys):
@@ -328,6 +359,14 @@ def test_fock_dump_gain_selection_rule(capsys):
         assert m1 - n1 == m2 - n2
 
 
+def test_fock_dump_rejects_gain_above_the_limit(capsys):
+    code = run_cli("fock-dump", "--channel", "gain", "--r", "0.3", "--gain", "1e308")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: gain factor must be finite and lie in [1, 100], got 1e+308\n"
+    assert captured.out == ""
+
+
 def test_fock_dump_requires_channel_param(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("fock-dump", "--channel", "loss", "--r", "0.5")
@@ -350,3 +389,12 @@ def test_invalid_flag_value(capsys):
 def test_cli_value_errors_map_to_usage_exit(capsys):
     assert run_cli("boundary", "--channel", "loss", "--r", "-1.0",
                    "--criterion", "gaussian") == 2
+
+
+def test_cli_runs_without_scipy():
+    # numpy is the only runtime dependency: importing the command line must not load scipy.
+    code = "import sys, cvsteer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "[]\n"

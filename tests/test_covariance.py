@@ -3,6 +3,7 @@ import pytest
 from conftest import gain_dilation, loss_dilation
 
 from cvsteer import (
+    MAX_GAIN,
     MAX_SQUEEZING,
     TwoModeCovariance,
     apply_gain,
@@ -137,6 +138,15 @@ def test_gain_rejects_non_finite(gain):
         apply_gain(tmsv_covariance(0.3), gain)
     with pytest.raises(ValueError, match="finite"):
         apply_gain(tmsv_covariance(np.array([0.3, 0.4])), np.array([1.2, gain]))
+
+
+def test_gain_limit_accepts_every_squeezing_up_to_the_limit():
+    # Up to G = 100 the amplified squeezed vacuum passes the physicality check
+    # on the whole squeezing range; just above the limit the gain is refused.
+    assert MAX_GAIN == 100.0
+    assert check_physical(apply_gain(tmsv_covariance(np.linspace(0.0, MAX_SQUEEZING, 501)), MAX_GAIN, "B"))
+    with pytest.raises(ValueError, match="gain factor .* got 100.5"):
+        apply_gain(tmsv_covariance(0.3), 100.5)
 
 
 def test_gain_matches_squeezer_dilation():

@@ -15,6 +15,7 @@ from cvsteer import (
     gaussian_steerable,
     tmsv_covariance,
 )
+from cvsteer.gaussian_criterion import BISECT_MAXITER, bisect
 
 GAIN_BOUNDARIES = {0.2: 1.0389570170338835, 0.5: 1.2135522670340726, 1.0: 1.580025658385974}
 
@@ -159,3 +160,66 @@ def test_margin_continuity_in_parameters():
     rs = np.arange(0.1, 0.7, 1e-3)
     margins = [gaussian_margin(apply_loss(tmsv_covariance(x), 0.5, "B"), B_TO_A) for x in rs]
     assert np.abs(np.diff(margins)).max() < 0.1
+
+
+# (r, gaussian_loss_boundary(r), gaussian_gain_boundary(r)) as computed by
+# scipy.optimize.bisect per squeezing before the batched bisection replaced it.
+PINNED_BOUNDARIES = [
+    (1e-09, 1e-09, 1.0),
+    (0.05, 0.49999999254941946, 1.002495834604905),
+    (0.3, 0.49999999254941946, 1.0848630424598638),
+    (1.0, 0.49999999254941946, 1.5800256598748885),
+    (2.5, 0.5000000074505806, 1.9734077770269711),
+    (5.0, 0.5000000074505806, 1.9998184163130037),
+]
+
+
+@pytest.mark.parametrize("r, loss, gain", PINNED_BOUNDARIES)
+def test_boundaries_are_pinned(r, loss, gain):
+    assert repr(gaussian_loss_boundary(r)) == repr(loss)
+    assert repr(gaussian_gain_boundary(r)) == repr(gain)
+
+
+def test_batched_boundaries_equal_scalar_calls():
+    rs = [r for r, _, _ in PINNED_BOUNDARIES] + np.linspace(0.001, MAX_SQUEEZING, 37).tolist()
+    for boundary in (gaussian_gain_boundary, gaussian_loss_boundary):
+        assert boundary(np.array(rs)).tolist() == [boundary(r) for r in rs]
+
+
+def test_bisect_skips_empty_brackets_and_finds_each_root():
+    calls = []
+
+    def margins(index, x):
+        calls.append(index.tolist())
+        return x - np.array([0.25, 0.5, 0.75])[index]
+
+    roots = bisect(margins, np.array([0.0, 0.3, 0.0]), np.array([1.0, 0.3, 1.0]), xtol=1e-12)
+    assert roots[1] == 0.3  # an empty bracket returns its end unevaluated
+    assert roots[[0, 2]] == pytest.approx([0.25, 0.75], abs=1e-12)
+    assert all(1 not in index for index in calls)
+
+
+def test_bisect_rejects_bad_brackets():
+    with pytest.raises(ValueError, match="same sign"):
+        bisect(lambda i, x: x, np.array([0.5]), np.array([1.0]))
+    with pytest.raises(ValueError, match="NaN"):
+        bisect(lambda i, x: np.where(x > 0.7, np.nan, x - 0.5), np.array([0.0]), np.array([1.0]))
+    with pytest.raises(RuntimeError, match="converge"):
+        bisect(lambda i, x: x, np.array([-1.0]), np.array([0.7]), xtol=1e-300)
+
+
+@pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
+def test_bisect_takes_scipys_steps(xtol):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(7)
+    roots, scale = rng.uniform(-3.0, 3.0, 200), rng.choice([-2.0, 0.5, 3.0], 200)
+    lo, hi = roots - rng.uniform(0.0, 4.0, 200), roots + rng.uniform(0.0, 4.0, 200)
+
+    def margins(index, x):
+        return scale[index] * (x - roots[index]) ** 3
+
+    expected = [
+        optimize.bisect(lambda x: margins(k, x), lo[k], hi[k], xtol=xtol, maxiter=BISECT_MAXITER)
+        for k in range(200)
+    ]
+    assert bisect(margins, lo, hi, xtol=xtol).tolist() == expected

@@ -142,8 +142,12 @@ def test_batch_of_one_is_bit_identical(channel, params):
 def test_sweep_batches_join_seamlessly(monkeypatch):
     spec = small_spec(criteria=ALL_PAIRS)
     whole = run_sweep(spec)
+    # 16 scan points, 12 of them detected: the scan, the blind edges and
+    # the batched bisections all run in parts of 5.
+    scanned = squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.05, r_max=0.8)
     monkeypatch.setattr(scan, "_SWEEP_BATCH", 5)
     assert run_sweep(spec) == whole
+    assert squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.05, r_max=0.8) == scanned
 
 
 def test_sweep_rows_match_direct_evaluation():
@@ -216,6 +220,24 @@ def test_boundary_tloo_below_half():
     assert eta_star < 0.5
     assert evaluate_point("loss", 0.4, eta_star + 1e-3, "tloo-n2", B_TO_A).steerable
     assert not evaluate_point("loss", 0.4, eta_star - 1e-3, "tloo-n2", B_TO_A).steerable
+
+
+# (r, loss tloo-n2 B->A, gain gaussian A->B) boundaries as computed by
+# scipy.optimize.bisect on per-point margins before the batched bisection.
+PINNED_FIND_BOUNDARY = [
+    (1e-09, None, None),
+    (0.05, 0.469159858288087, 1.002495842055486),
+    (0.3, 0.4011129094760493, 1.0848630350092945),
+    (1.0, 0.5377304333808496, 1.5800256598749656),
+    (2.5, 0.6876785823636726, 1.9734077658512303),
+    (5.0, 0.6956659097006247, 1.9998184163131372),
+]
+
+
+@pytest.mark.parametrize("r, loss, gain", PINNED_FIND_BOUNDARY)
+def test_find_boundary_is_pinned(r, loss, gain):
+    assert repr(find_boundary("loss", r, "tloo-n2", B_TO_A)) == repr(loss)
+    assert repr(find_boundary("gain", r, "gaussian", A_TO_B)) == repr(gain)
 
 
 def test_boundary_absent():
