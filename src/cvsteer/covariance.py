@@ -20,10 +20,10 @@ PHYSICALITY_TOL = 1e-10
 # the physicality check of pure states and the conservative verdicts at MARGIN_TOL.
 MAX_SQUEEZING = 5.0
 
-# Largest amplifier gain accepted.  Up to G = 100 the physicality check accepts
-# every amplified squeezed vacuum with r <= MAX_SQUEEZING; at G = 300 it rejects
-# physical states from r = 4.64, and from G = 1e15 the Gaussian margins turn wrong.
-MAX_GAIN = 100.0
+# Largest amplifier gain accepted.  Up to G = 10 the amplified squeezed vacuum with
+# r <= MAX_SQUEEZING keeps its smallest eigenvalue above -2e-11, 5x inside
+# PHYSICALITY_TOL; from G = 48 the check rejects physical states at r near 5.
+MAX_GAIN = 10.0
 
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

@@ -252,13 +252,7 @@ def thermal_marginal(r: float, eta: float, k: int) -> float:
 
 def fock_density_json(rho: FockDensity, threshold: float = 1e-14) -> dict:
     """JSON-ready dict of a FockDensity: cutoffs plus all elements above threshold."""
-    n_a, n_b = rho.cutoffs
-    entries = []
-    for m1 in range(n_a):
-        for m2 in range(n_b):
-            for n1 in range(n_a):
-                for n2 in range(n_b):
-                    val = float(rho.elements[m1, m2, n1, n2])
-                    if abs(val) > threshold:
-                        entries.append({"idx": [m1, m2, n1, n2], "val": val})
-    return {"cutoffs": [n_a, n_b], "elements": entries}
+    # argwhere lists the indices in C order, i.e. (m1, m2, n1, n2) lexicographically.
+    idx = np.argwhere(np.abs(rho.elements) > threshold)
+    vals = rho.elements[tuple(idx.T)].tolist()
+    return {"cutoffs": list(rho.cutoffs), "elements": [{"idx": i, "val": v} for i, v in zip(idx.tolist(), vals)]}

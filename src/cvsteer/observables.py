@@ -44,32 +44,22 @@ def build_tloos(n: int) -> TlooSet:
     """Construct the canonical n-level TLOO set (n >= 2)."""
     if n < 2:
         raise ValueError(f"truncation level must be >= 2, got {n}")
-    mats = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[k, k] = 1.0
-        mats.append(m)
-    for k in range(n):
-        for l in range(k + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l] = m[l, k] = 1.0 / _SQRT2
-            mats.append(m)
-    for k in range(n):
-        for l in range(k + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l] = -1.0j / _SQRT2
-            m[l, k] = 1.0j / _SQRT2
-            mats.append(m)
-    stack = np.array(mats)
+    # Canonical order: projectors, then the symmetric and antisymmetric pairs (k, l), k < l, row-major.
+    k, l = np.triu_indices(n, 1)
+    sym, asym = n + np.arange(k.size), n + k.size + np.arange(k.size)
+    stack = np.zeros((n * n, n, n), dtype=complex)
+    stack[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    stack[sym, k, l] = stack[sym, l, k] = 1.0 / _SQRT2
+    stack[asym, k, l] = -1.0j / _SQRT2
+    stack[asym, l, k] = 1.0j / _SQRT2
     stack.setflags(write=False)
     return TlooSet(n, stack)
 
 
 def expectation_values(state: np.ndarray, tloos: TlooSet) -> np.ndarray:
-    """<A_j> for every observable; real for Hermitian input states."""
+    """<A_j> for every observable, one row per state of a batch; real for Hermitian states."""
     state = _check_state(state, tloos)
-    vals = np.einsum("ab,jba->j", state, tloos.matrices)
-    return vals.real
+    return np.einsum("...ab,jba->...j", state, tloos.matrices).real
 
 
 def uncertainty_sum(state: np.ndarray, tloos: TlooSet) -> tuple[float, float]:
@@ -84,13 +74,13 @@ def uncertainty_sum(state: np.ndarray, tloos: TlooSet) -> tuple[float, float]:
     weight = float(np.trace(state).real)
     if weight > 1.0 + 1e-9:
         raise ValueError(f"state weight exceeds 1: {weight}")
-    total = 0.0
-    for mat in tloos.matrices:
-        mean = np.einsum("ab,ba->", state, mat).real
-        second = np.einsum("ab,ba->", state, mat @ mat).real
-        total += second - mean**2
-    bound = (tloos.level - 1) * weight
-    return float(total), float(bound)
+    return float(_variances(state, tloos).sum()), float((tloos.level - 1) * weight)
+
+
+def _variances(state: np.ndarray, tloos: TlooSet) -> np.ndarray:
+    """Var(A_j) = <A_j^2> - <A_j>^2 for every observable, from the explicit squares."""
+    second = np.einsum("...ab,jba->...j", state, tloos.matrices @ tloos.matrices).real
+    return second - expectation_values(state, tloos) ** 2
 
 
 def rotate_tloos(tloos: TlooSet, rotation: np.ndarray) -> TlooSet:
@@ -112,6 +102,6 @@ def rotate_tloos(tloos: TlooSet, rotation: np.ndarray) -> TlooSet:
 def _check_state(state: np.ndarray, tloos: TlooSet) -> np.ndarray:
     state = np.asarray(state)
     n = tloos.level
-    if state.shape != (n, n):
+    if state.shape[-2:] != (n, n):
         raise ValueError(f"state must be {n}x{n} to match the observable set, got {state.shape}")
     return state

@@ -38,7 +38,8 @@ class Channel:
 
 CHANNELS = {
     "loss": Channel(apply_loss, "eta", (1e-6, 1.0), (0.05, 0.95, 120), {B_TO_A: lambda r: np.full_like(r, 0.5)}, False),
-    "gain": Channel(apply_gain, "gain", (1 + 1e-12, 6.0), (1.0, 2.0, 120), {A_TO_B: gaussian_gain_boundary}, True),
+    # The lambda looks gaussian_gain_boundary up at call time, so a rebinding of the module attribute reaches it.
+    "gain": Channel(apply_gain, "gain", (1 + 1e-12, 6.0), (1.0, 2.0, 120), {A_TO_B: lambda r: gaussian_gain_boundary(r)}, True),
 }
 
 # Largest sweep grid or squeezing scan, and points per batch: the default 120x120
@@ -258,9 +259,9 @@ def squeezing_range(
         return SqueezingRange(channel, criterion, direction, False)
 
     def blind(_, r):
-        return batch_margins(channel, r, edge(r), pair)[0]
+        return batch_margins(channel, r, edge(r), pair)[0] - MARGIN_TOL
 
-    # Refine each end where a sign change brackets it; an empty bracket keeps the scan point.
+    # Refine each end where detection (margin > MARGIN_TOL) flips; an empty bracket keeps the scan point.
     first, last = np.flatnonzero(detected)[[0, -1]]
     lo, hi = rs[[max(first - 1, 0), last]], rs[[first, min(last + 1, steps - 1)]]
     r_low, r_high = bisect(blind, lo, hi, xtol=1e-6).tolist()

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockDensity
-from .observables import TlooSet, build_tloos, rotate_tloos
-from .verdict import A_TO_B, B_TO_A, SteeringVerdict
+from .observables import TlooSet, _variances, build_tloos, expectation_values, rotate_tloos, uncertainty_sum
+from .verdict import A_TO_B, B_TO_A, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ def correlation_matrix(
         raise ValueError("joint expectations acquired an imaginary part; state not real?")
     red_a = rho.reduced_a[..., :level_a, :level_a]
     red_b = rho.reduced_b[..., :level_b, :level_b]
-    mean_a = np.einsum("...ab,jba->...j", red_a, tloos_a.matrices).real
-    mean_b = np.einsum("...ab,jba->...j", red_b, tloos_b.matrices).real
+    mean_a = expectation_values(red_a, tloos_a)
+    mean_b = expectation_values(red_b, tloos_b)
     entries = joint.real - mean_a[..., :, None] * mean_b[..., None, :]
     weight_a = np.trace(red_a, axis1=-2, axis2=-1).real
     weight_b = np.trace(red_b, axis1=-2, axis2=-1).real
@@ -148,28 +148,13 @@ def paired_variance_sum(
     observables act inside the cutoffs.  A_j beyond the size of the B set are
     paired with the zero operator.
     """
-    n_a, n_b = rho.cutoffs
-    if tloos_a.level > n_a or tloos_b.level > n_b:
-        raise ValueError("observable levels exceed density cutoffs")
-    red_a = rho.reduced_a[: tloos_a.level, : tloos_a.level]
-    red_b = rho.reduced_b[: tloos_b.level, : tloos_b.level]
-    block = rho.elements[: tloos_a.level, : tloos_b.level, : tloos_a.level, : tloos_b.level]
-
-    lhs = 0.0
+    level_a, level_b = tloos_a.level, tloos_b.level
+    corr = correlation_matrix(rho, level_a, level_b, tloos_a, tloos_b)
     pairs = min(len(tloos_a), len(tloos_b))
-    for j, mat_a in enumerate(tloos_a.matrices):
-        mean_a = np.einsum("ab,ba->", red_a, mat_a).real
-        var_a = np.einsum("ab,ba->", red_a, mat_a @ mat_a).real - mean_a**2
-        lhs += var_a
-        if j < pairs:
-            mat_b = tloos_b.matrices[j]
-            mean_b = np.einsum("ab,ba->", red_b, mat_b).real
-            var_b = np.einsum("ab,ba->", red_b, mat_b @ mat_b).real - mean_b**2
-            joint = np.einsum("mpnq,nm,qp->", block, mat_a, mat_b).real
-            lhs += gain**2 * var_b + 2.0 * gain * (joint - mean_a * mean_b)
-    weight_a = float(np.trace(red_a).real)
-    bound = (tloos_a.level - 1) * weight_a
-    return float(lhs), float(bound)
+    local, bound = uncertainty_sum(rho.reduced_a[:level_a, :level_a], tloos_a)
+    var_b = _variances(rho.reduced_b[:level_b, :level_b], tloos_b)[:pairs]
+    lhs = local + (gain**2 * var_b + 2.0 * gain * np.diag(corr.entries)[:pairs]).sum()
+    return float(lhs), bound
 
 
 @dataclass(frozen=True)
@@ -195,15 +180,16 @@ def build_witness(
     singular values on the diagonal, then applies the optimal gain.  Raises on
     states the trace-norm criterion does not flag.
     """
-    verdict = tloo_steerable(rho, level_a, level_b, direction)
-    if not verdict.steerable:
-        raise ValueError(f"state is not flagged steerable ({direction}); no witness exists")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
     if direction == A_TO_B:
         # Mirror the state so the trusted side is always labelled A below.
         rho = swap_fock_modes(rho)
         level_a, level_b = level_b, level_a
 
     corr = correlation_matrix(rho, level_a, level_b)
+    if not corr.trace_norm - criterion_rhs(corr, B_TO_A) > MARGIN_TOL:
+        raise ValueError(f"state is not flagged steerable ({direction}); no witness exists")
     u, singular, vt = np.linalg.svd(corr.entries)
     rot_a = rotate_tloos(build_tloos(level_a), u.T)
     rot_b = rotate_tloos(build_tloos(level_b), vt)

@@ -363,7 +363,7 @@ def test_fock_dump_rejects_gain_above_the_limit(capsys):
     code = run_cli("fock-dump", "--channel", "gain", "--r", "0.3", "--gain", "1e308")
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: gain factor must be finite and lie in [1, 100], got 1e+308\n"
+    assert captured.err == "error: gain factor must be finite and lie in [1, 10], got 1e+308\n"
     assert captured.out == ""
 
 

@@ -141,12 +141,13 @@ def test_gain_rejects_non_finite(gain):
 
 
 def test_gain_limit_accepts_every_squeezing_up_to_the_limit():
-    # Up to G = 100 the amplified squeezed vacuum passes the physicality check
-    # on the whole squeezing range; just above the limit the gain is refused.
-    assert MAX_GAIN == 100.0
-    assert check_physical(apply_gain(tmsv_covariance(np.linspace(0.0, MAX_SQUEEZING, 501)), MAX_GAIN, "B"))
-    with pytest.raises(ValueError, match="gain factor .* got 100.5"):
-        apply_gain(tmsv_covariance(0.3), 100.5)
+    # Up to G = 10 the amplified squeezed vacuum passes the physicality check
+    # on the whole (r, G) domain; just above the limit the gain is refused.
+    assert MAX_GAIN == 10.0
+    r, gain = np.meshgrid(np.linspace(0.0, MAX_SQUEEZING, 501), np.linspace(1.0, MAX_GAIN, 91))
+    assert check_physical(apply_gain(tmsv_covariance(r.ravel()), gain.ravel(), "B"))
+    with pytest.raises(ValueError, match="gain factor .* got 10.5"):
+        apply_gain(tmsv_covariance(0.3), 10.5)
 
 
 def test_gain_matches_squeezer_dilation():

@@ -299,6 +299,26 @@ def test_squeezing_range_gain_walk_is_capped(monkeypatch):
         squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.2)
 
 
+def test_squeezing_range_ends_refine_where_detection_flips():
+    # The loss n2 margin at r = 1e-5 is 9.9e-11: positive, but not past MARGIN_TOL.
+    result = squeezing_range("loss", "tloo-n2", B_TO_A, r_step=1e-5, r_max=1e-3)
+    assert result.detected
+    assert result.r_low == pytest.approx(1.0625e-05, abs=1e-6)
+    assert result.r_high == 1e-3
+
+
+def test_squeezing_range_gain_edge_is_looked_up_at_call_time(monkeypatch):
+    calls = []
+
+    def counting(r):
+        calls.append(len(r))
+        return gaussian_gain_boundary(r)
+
+    monkeypatch.setattr(scan, "gaussian_gain_boundary", counting)
+    assert squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.5).detected
+    assert calls
+
+
 def test_squeezing_range_stable_under_refinement():
     coarse = squeezing_range("loss", "tloo-n2", B_TO_A, r_step=0.004, r_max=1.0)
     fine = squeezing_range("loss", "tloo-n2", B_TO_A, r_step=0.002, r_max=1.0)
