@@ -6,16 +6,38 @@ lossy two-mode squeezed vacuum additionally has Kraus-sum closed forms, which
 makes it the natural cross-validation family.
 """
 
+import math
+
 import numpy as np
 
-from cvsteer import (
-    apply_gain,
-    apply_loss,
-    fock_density,
-    lossy_tmsv_element,
-    thermal_marginal,
-    tmsv_covariance,
-)
+from cvsteer import apply_gain, apply_loss, fock_density, tmsv_covariance
+
+
+def lossy_tmsv_element(r, eta, indices):
+    """<m1 m2|rho|n1 n2> of a squeezed vacuum after loss eta on mode B.
+
+    With lambda = tanh r the squeezed vacuum is sqrt(1 - lambda^2) sum_m
+    lambda^m |m m>; the loss Kraus operator that removes k photons maps |m> to
+    sqrt(C(m, k) eta^(m-k) (1-eta)^k) |m-k>.  Summing over k leaves only the
+    elements with m1 - m2 = n1 - n2 = k >= 0.
+    """
+    m1, m2, n1, n2 = indices
+    k = m1 - m2
+    if k != n1 - n2 or k < 0:
+        return 0.0
+    lam = math.tanh(r)
+
+    def amplitude(m):
+        return lam**m * math.sqrt(math.comb(m, k)) * eta ** ((m - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
+
+    return (1.0 - lam**2) * amplitude(m1) * amplitude(n1)
+
+
+def thermal_marginal(r, eta, k):
+    """<k|rho_B|k>: a thermal state of mean photon number eta (cosh 2r - 1) / 2."""
+    nbar = eta * (math.cosh(2.0 * r) - 1.0) / 2.0
+    return nbar**k / (1.0 + nbar) ** (k + 1)
+
 
 r, eta = 0.5, 0.5
 rho = fock_density(apply_loss(tmsv_covariance(r), eta, "B"), 3, 3)

@@ -16,7 +16,6 @@ from .covariance import (
     apply_loss,
     check_physical,
     physicality_eigenvalue,
-    symplectic_form,
     tmsv_covariance,
 )
 from .fock import (
@@ -24,10 +23,7 @@ from .fock import (
     FockDensity,
     fock_density,
     fock_density_json,
-    hermite_coefficient,
     hermite_kernel,
-    lossy_tmsv_element,
-    thermal_marginal,
     thermal_occupations,
 )
 from .gaussian_criterion import (
@@ -59,6 +55,7 @@ from .tloo_criterion import (
     optimal_gain,
     paired_variance_sum,
     swap_fock_modes,
+    tloo_margin,
     tloo_steerable,
 )
 from .verdict import A_TO_B, B_TO_A, MARGIN_TOL, SteeringVerdict

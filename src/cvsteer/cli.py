@@ -55,6 +55,9 @@ def cmd_sweep(args) -> int:
         criteria = ((_criterion(args), DIRECTION_FROM_LABEL[args.direction]),)
     r_lo, r_hi, r_steps = args.r_range
     p_lo, p_hi, p_steps = args.param_range or CHANNELS[args.channel].default_range
+    for steps in (r_steps, p_steps):
+        if int(steps) != steps:  # int() raises on inf and NaN
+            raise ValueError(f"grid STEPS must be a whole number, got {steps:g}")
     spec = SweepSpec(args.channel, (r_lo, r_hi, int(r_steps)), (p_lo, p_hi, int(p_steps)), criteria)
     rows = run_sweep(spec)
     with _output(args.out) as stream:

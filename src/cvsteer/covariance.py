@@ -25,19 +25,9 @@ MAX_SQUEEZING = 5.0
 # PHYSICALITY_TOL; from G = 48 the check rejects physical states at r near 5.
 MAX_GAIN = 10.0
 
+# One-mode symplectic form, and i times the two-mode one (a block per mode).
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def symplectic_form(n_modes: int = 2) -> np.ndarray:
-    """Block-diagonal symplectic form, one [[0,1],[-1,0]] block per mode."""
-    blocks = [_OMEGA_BLOCK] * n_modes
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for i, blk in enumerate(blocks):
-        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blk
-    return out
-
-
-_I_OMEGA = 1j * symplectic_form(2)
+_I_OMEGA = 1j * np.block([[_OMEGA_BLOCK, np.zeros((2, 2))], [np.zeros((2, 2)), _OMEGA_BLOCK]])
 
 
 @dataclass(frozen=True)

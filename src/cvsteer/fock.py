@@ -4,8 +4,7 @@ The matrix elements <m1 m2|rho|n1 n2> of a zero-mean Gaussian state are Taylor
 coefficients of a Gaussian generating function exp(-y^T R y) in four variables,
 up to factorial and determinant prefactors.  The kernel matrix R is an explicit
 function of the covariance matrix.  Elements are computed here by expanding the
-generating function exactly (truncated polynomial arithmetic); for the lossy
-two-mode squeezed vacuum an independent closed form is provided as an oracle.
+generating function exactly (truncated polynomial arithmetic).
 
 Truncated densities are deliberately *not* renormalised: a renormalised
 truncated state is a different state and detects strictly less.  The weight
@@ -111,22 +110,6 @@ def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -
     return table
 
 
-def hermite_coefficient(kernel: np.ndarray, orders: tuple[int, int, int, int]) -> float:
-    """Value at the origin of the four-variable Hermite polynomial of exp(-y^T R y).
-
-    Equals (-1)^(sum of orders) times orders! times the Taylor coefficient of
-    y^orders; exact up to floating point.
-    """
-    if any(o < 0 for o in orders):
-        raise ValueError(f"orders must be non-negative, got {orders}")
-    if max(orders) > MAX_ORDER:
-        raise ValueError(f"orders above {MAX_ORDER} are not supported, got {orders}")
-    table = _exp_neg_quadratic(np.asarray(kernel, dtype=float), tuple(orders))
-    total = sum(orders)
-    fac = math.prod(math.factorial(o) for o in orders)
-    return float((-1.0) ** total * fac * table[tuple(orders)])
-
-
 @dataclass(frozen=True)
 class FockDensity:
     """Two-mode density matrix truncated at Fock cutoffs (n_a, n_b).
@@ -205,49 +188,6 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     reduced_a = thermal_occupations(cov.mean_photons_a, n_a)[..., None] * np.eye(n_a)
     reduced_b = thermal_occupations(cov.mean_photons_b, n_b)[..., None] * np.eye(n_b)
     return FockDensity(elements, reduced_a, reduced_b)
-
-
-def lossy_tmsv_element(r: float, eta: float, indices: tuple[int, int, int, int]) -> float:
-    """Closed-form Fock element of a two-mode squeezed vacuum after loss on mode B.
-
-    Independent oracle for fock_density: derived by summing the loss channel's
-    Kraus operators on the squeezed-vacuum Schmidt decomposition, so it never
-    touches the generating-function route.  Loss only removes photons from B and
-    preserves the photon-number difference, hence the element vanishes unless
-    m1 - m2 = n1 - n2 >= 0.
-    """
-    m1, m2, n1, n2 = indices
-    if min(indices) < 0 or max(indices) > 2:
-        raise ValueError(f"indices must lie in 0..2, got {indices}")
-    if r < 0.0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmittance must lie in (0, 1], got {eta}")
-    k = m1 - m2
-    if k != n1 - n2 or k < 0:
-        return 0.0
-    lam = math.tanh(r)
-
-    def amplitude(m: int) -> float:
-        return lam**m * math.sqrt(math.comb(m, k)) * eta ** ((m - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
-
-    return (1.0 - lam**2) * amplitude(m1) * amplitude(n1)
-
-
-def thermal_marginal(r: float, eta: float, k: int) -> float:
-    """Fock occupation <k|rho_B|k> of the mode-B marginal of a lossy two-mode
-    squeezed vacuum.
-
-    The marginal is thermal with mean photon number eta*(cosh(2r) - 1)/2; the
-    occupations follow the geometric law nbar^k / (1 + nbar)^(k+1).  Mode A's
-    marginal is the eta = 1 case.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"occupation index must be 0, 1 or 2, got {k}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmittance must lie in (0, 1], got {eta}")
-    nbar = eta * (math.cosh(2.0 * r) - 1.0) / 2.0
-    return float(nbar**k / (1.0 + nbar) ** (k + 1))
 
 
 def fock_density_json(rho: FockDensity, threshold: float = 1e-14) -> dict:

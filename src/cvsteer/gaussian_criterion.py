@@ -9,17 +9,15 @@ a negative eigenvalue; "AtoB" puts the symplectic block on mode B instead.
 import numpy as np
 
 from .covariance import (
+    _OMEGA_BLOCK,
     TwoModeCovariance,
     _require,
     apply_gain,
     apply_loss,
     check_physical,
-    symplectic_form,
     tmsv_covariance,
 )
 from .verdict import A_TO_B, B_TO_A, SteeringVerdict
-
-_OMEGA_MODE = symplectic_form(1)
 
 # Bisection settings for boundary finding; the Gaussian margins are smooth and
 # monotone across these boundaries.  The relative tolerance is scipy's default.
@@ -74,9 +72,9 @@ def gaussian_margin(cov: TwoModeCovariance, direction: str = B_TO_A):
     per state of a batch.  The covariance is taken to be physical."""
     gamma = cov.matrix().astype(complex)
     if direction == B_TO_A:
-        gamma[..., :2, :2] += 1j * _OMEGA_MODE
+        gamma[..., :2, :2] += 1j * _OMEGA_BLOCK
     elif direction == A_TO_B:
-        gamma[..., 2:, 2:] += 1j * _OMEGA_MODE
+        gamma[..., 2:, 2:] += 1j * _OMEGA_BLOCK
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return -np.linalg.eigvalsh(gamma)[..., 0]

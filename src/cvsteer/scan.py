@@ -16,7 +16,7 @@ import numpy as np
 from .covariance import TwoModeCovariance, apply_gain, apply_loss, require_physical, tmsv_covariance
 from .fock import fock_density
 from .gaussian_criterion import bisect, gaussian_gain_boundary, gaussian_margin
-from .tloo_criterion import correlation_matrix, criterion_rhs
+from .tloo_criterion import correlation_matrix, tloo_margin
 from .verdict import A_TO_B, B_TO_A, DIRECTION_LABELS, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
 # Criterion name -> TLOO truncation level (None: the Gaussian criterion).
@@ -66,7 +66,8 @@ def batch_margins(channel: str, rs, params, criteria) -> list[np.ndarray]:
     rs and params are 1-D arrays; the result holds one margin array per pair.
     The stack is checked once as squeezed vacuum and once as channel output,
     one Fock density at the largest level serves every level (elements below
-    a cutoff do not depend on it) and a trace norm serves both directions.
+    a cutoff do not depend on it) and a correlation matrix, with its cached
+    trace norm, serves both directions.
     Batches above _SWEEP_BATCH points are evaluated in parts.
     """
     if any(criterion not in CRITERIA for criterion, _ in criteria):
@@ -82,11 +83,10 @@ def batch_margins(channel: str, rs, params, criteria) -> list[np.ndarray]:
     else:
         require_physical(cov)
     corr = {n: correlation_matrix(rho, n, n) for n in levels}
-    norm = {n: c.trace_norm for n, c in corr.items()}
 
     def margin(criterion: str, direction: str):
         n = CRITERIA[criterion]
-        return gaussian_margin(cov, direction) if n is None else norm[n] - criterion_rhs(corr[n], direction)
+        return gaussian_margin(cov, direction) if n is None else tloo_margin(corr[n], direction)
 
     return [margin(*pair) for pair in criteria]
 
@@ -232,9 +232,9 @@ def squeezing_range(
 ) -> SqueezingRange:
     """Scan squeezing for detection inside the Gaussian-blind region.
 
-    Scans r on a uniform grid of r_max / r_step (1 to MAX_GRID_POINTS) points
-    with endpoint refinement by bisection; only the TLOO criteria are
-    meaningful here.
+    Scans the points k * r_step <= r_max, k >= 1 (1 to MAX_GRID_POINTS of
+    them; a point within rounding of r_max counts), with endpoint refinement
+    by bisection; only the TLOO criteria are meaningful here.
     """
     if CRITERIA.get(criterion) is None:
         raise ValueError(f"squeezing-range scan requires a TLOO criterion, got {criterion!r}")
@@ -243,7 +243,7 @@ def squeezing_range(
     for name, value in (("r_step", r_step), ("r_max", r_max)):
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    steps = int(round(r_max / r_step))
+    steps = int(r_max / r_step * (1.0 + 1e-12))
     if not 1 <= steps <= MAX_GRID_POINTS:
         raise ValueError(f"squeezing scan has {steps} points; it needs 1 to {MAX_GRID_POINTS}")
     spec = _channel(channel)
@@ -251,7 +251,7 @@ def squeezing_range(
     if edge is None:
         return SqueezingRange(channel, criterion, direction, False, blind_region=False)
     pair = ((criterion, direction),)
-    rs = r_step * np.arange(1, steps + 1)
+    rs = np.minimum(r_step * np.arange(1, steps + 1), r_max)  # the point counted within rounding stays at r_max
     # Blind edges a batch at a time too, so their working arrays stay bounded.
     params = np.concatenate([edge(rs[i : i + _SWEEP_BATCH]) for i in range(0, steps, _SWEEP_BATCH)])
     detected = batch_margins(channel, rs, params, pair)[0] > MARGIN_TOL

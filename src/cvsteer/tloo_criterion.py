@@ -14,6 +14,7 @@ linear-estimate variance sum beats its uncertainty bound.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class CorrelationMatrix:
     level_a: int
     level_b: int
 
-    @property
+    @cached_property
     def trace_norm(self):
         return np.linalg.svd(self.entries, compute_uv=False).sum(axis=-1)
 
@@ -104,24 +105,18 @@ def criterion_rhs(corr: CorrelationMatrix, direction: str = B_TO_A):
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
+def tloo_margin(corr: CorrelationMatrix, direction: str = B_TO_A):
+    """Signed margin of the trace-norm test (positive = steerable): the trace
+    norm minus its local-hidden-state bound, one per state of a batch."""
+    return corr.trace_norm - criterion_rhs(corr, direction)
+
+
 def tloo_steerable(
     rho: FockDensity, level_a: int, level_b: int, direction: str = B_TO_A
 ) -> SteeringVerdict:
     """Decide steerability from the trace-norm criterion at the given levels."""
-    corr = correlation_matrix(rho, level_a, level_b)
-    trace_norm = corr.trace_norm
-    bound = criterion_rhs(corr, direction)
-    margin = trace_norm - bound
-    return SteeringVerdict.from_margin(
-        "tloo",
-        direction,
-        margin,
-        trace_norm=trace_norm,
-        bound=bound,
-        levels=(level_a, level_b),
-        weight_a=corr.weight_a,
-        weight_b=corr.weight_b,
-    )
+    margin = tloo_margin(correlation_matrix(rho, level_a, level_b), direction)
+    return SteeringVerdict.from_margin("tloo", direction, margin)
 
 
 def optimal_gain(corr: CorrelationMatrix) -> float:
@@ -188,7 +183,7 @@ def build_witness(
         level_a, level_b = level_b, level_a
 
     corr = correlation_matrix(rho, level_a, level_b)
-    if not corr.trace_norm - criterion_rhs(corr, B_TO_A) > MARGIN_TOL:
+    if not tloo_margin(corr, B_TO_A) > MARGIN_TOL:
         raise ValueError(f"state is not flagged steerable ({direction}); no witness exists")
     u, singular, vt = np.linalg.svd(corr.entries)
     rot_a = rotate_tloos(build_tloos(level_a), u.T)

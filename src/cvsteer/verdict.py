@@ -1,6 +1,6 @@
 """Shared verdict type for the steering criteria."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Margins within this band of zero count as non-steerable: detection claims
 # are conservative at criterion boundaries.
@@ -18,21 +18,17 @@ class SteeringVerdict:
     """Outcome of one steering test.
 
     margin is signed: positive means the criterion certifies steering in the
-    given direction, and steerable is exactly margin > MARGIN_TOL.  detail
-    carries criterion-specific diagnostics.
+    given direction, and steerable is exactly margin > MARGIN_TOL.
     """
 
     criterion: str
     direction: str
     steerable: bool
     margin: float
-    detail: dict = field(default_factory=dict)
 
     @classmethod
-    def from_margin(cls, criterion: str, direction: str, margin: float, **detail) -> "SteeringVerdict":
+    def from_margin(cls, criterion: str, direction: str, margin: float) -> "SteeringVerdict":
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         margin = float(margin)
-        if abs(margin) <= MARGIN_TOL:
-            detail.setdefault("boundary", True)
-        return cls(criterion, direction, margin > MARGIN_TOL, margin, detail)
+        return cls(criterion, direction, margin > MARGIN_TOL, margin)

@@ -8,7 +8,7 @@ import math
 import time
 
 import numpy as np
-from conftest import random_mixed_state, random_orthogonal, random_pure_state
+from conftest import lossy_tmsv_element, random_mixed_state, random_orthogonal, random_pure_state
 
 from cvsteer import (
     A_TO_B,
@@ -19,7 +19,6 @@ from cvsteer import (
     fock_density,
     gaussian_gain_boundary,
     gaussian_loss_boundary,
-    lossy_tmsv_element,
     monogamy_report,
     paired_variance_sum,
     rotate_tloos,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cvsteer import lossy_tmsv_element
+from conftest import lossy_tmsv_element
 from cvsteer.cli import main
 
 # Sweep CSVs written by the per-point engine that preceded batched evaluation
@@ -71,6 +71,9 @@ def test_sweep_matches_golden_csv(tmp_path, channel, param_range):
         (("0.1", "0.5", "3"), ("0.3", "nan", "3"), "param range bounds must be finite"),
         (("0.1", "0.5", "inf"), ("0.3", "0.6", "3"), "cannot convert float infinity to integer"),
         (("0.1", "0.5", "1000"), ("0.3", "0.6", "1000"), "at most 250000"),
+        (("0.1", "0.5", "nan"), ("0.3", "0.6", "3"), "cannot convert float NaN to integer"),
+        (("0.1", "0.5", "2.9"), ("0.5", "1", "2"), "grid STEPS must be a whole number, got 2.9"),
+        (("0.1", "0.5", "3"), ("0.5", "1", "2.5"), "grid STEPS must be a whole number, got 2.5"),
     ],
 )
 def test_sweep_rejects_bad_grid_at_the_edge(capsys, r_range, param_range, message):
@@ -185,6 +188,13 @@ def test_rrange_loss(capsys):
     out = capsys.readouterr().out
     values = dict(line.split("=") for line in out.strip().splitlines())
     assert float(values["r_high"]) == pytest.approx(0.869, abs=0.015)
+
+
+def test_rrange_stops_at_r_max(capsys):
+    # 5 / 0.3 rounds to 17 points, the last at r = 5.1, outside the squeezing domain.
+    code = run_cli("rrange", "--channel", "loss", "--level", "2", "--r-step", "0.3", "--r-max", "5")
+    assert code == 0
+    assert capsys.readouterr().out == "r_low=0.3\nr_high=0.868989372\n"
 
 
 def golden(name: str, code: int = 0):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import gain_dilation, loss_dilation
+from conftest import gain_dilation, loss_dilation, symplectic_form
 
 from cvsteer import (
     MAX_GAIN,
@@ -10,7 +10,6 @@ from cvsteer import (
     apply_loss,
     check_physical,
     physicality_eigenvalue,
-    symplectic_form,
     tmsv_covariance,
 )
 

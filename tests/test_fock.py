@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import hermite_coefficient, lossy_tmsv_element, thermal_marginal
 from cvsteer import (
     FockDensity,
     apply_gain,
     apply_loss,
     fock_density,
     fock_density_json,
-    hermite_coefficient,
     hermite_kernel,
-    lossy_tmsv_element,
-    thermal_marginal,
     thermal_occupations,
     tmsv_covariance,
     TwoModeCovariance,

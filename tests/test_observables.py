@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_mixed_state, random_orthogonal, random_pure_state
+from conftest import random_mixed_state, random_orthogonal, random_pure_state, thermal_marginal
 
 from cvsteer import (
     apply_loss,
@@ -8,7 +8,6 @@ from cvsteer import (
     expectation_values,
     fock_density,
     rotate_tloos,
-    thermal_marginal,
     tmsv_covariance,
     uncertainty_sum,
 )

@@ -1,6 +1,8 @@
 """Property tests over the whole documented domain: r in [0, MAX_SQUEEZING],
 eta in (0, 1] and G in [1, MAX_GAIN], with either mode sent through the channel."""
 
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -39,6 +41,18 @@ def channel_outputs(draw):
 @given(channel_outputs())
 def test_channel_outputs_stay_physical(cov):
     assert check_physical(cov)
+
+
+@settings(max_examples=200, deadline=None)
+@given(channel_outputs(), st.sampled_from([B_TO_A, A_TO_B]))
+def test_gaussian_margin_matches_the_closed_form(cov, direction):
+    # Kogias, Lee, Ragy & Adesso, PRL 114, 060403 (2015): B->A is steerable by
+    # Gaussian measurements iff det gamma_B > det gamma, A->B iff det gamma_A > det gamma.
+    # The standard form gives det gamma = (ab - c1^2)(ab - c2^2), det gamma_A = a^2 and det gamma_B = b^2.
+    det = (cov.a * cov.b - cov.c1**2) * (cov.a * cov.b - cov.c2**2)
+    log_ratio = math.log((cov.b if direction == B_TO_A else cov.a) ** 2 / det)
+    if abs(log_ratio) > 1e-9:
+        assert (gaussian_margin(cov, direction) > MARGIN_TOL) == (log_ratio > 0)
 
 
 @settings(max_examples=100, deadline=None)

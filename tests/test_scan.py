@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import lossy_tmsv_element, thermal_marginal
 from cvsteer import (
     A_TO_B,
     B_TO_A,
@@ -14,11 +15,9 @@ from cvsteer import (
     evaluate_point,
     find_boundary,
     gaussian_gain_boundary,
-    lossy_tmsv_element,
     monogamy_report,
     run_sweep,
     squeezing_range,
-    thermal_marginal,
     tmsv_covariance,
     write_sweep_csv,
 )
@@ -305,6 +304,26 @@ def test_squeezing_range_ends_refine_where_detection_flips():
     assert result.detected
     assert result.r_low == pytest.approx(1.0625e-05, abs=1e-6)
     assert result.r_high == 1e-3
+
+
+@pytest.mark.parametrize(
+    "r_step, r_max, points",
+    [
+        (0.6, 1.0, [0.6]),  # 1.0 / 0.6 rounds to 2, which would scan r = 1.2
+        (0.3, 5.0, [0.3 * k for k in range(1, 17)]),  # rounding to 17 would scan r = 5.1
+        (5 / 147, 5.0, [5 / 147 * k for k in range(1, 147)] + [5.0]),  # 147 * step rounds past 5
+    ],
+)
+def test_squeezing_range_scans_no_point_past_r_max(monkeypatch, r_step, r_max, points):
+    scanned = []
+
+    def recording(channel, rs, params, criteria):
+        scanned.append(rs.tolist())
+        return [np.full(len(rs), -1.0) for _ in criteria]
+
+    monkeypatch.setattr(scan, "batch_margins", recording)
+    assert not squeezing_range("loss", "tloo-n2", B_TO_A, r_step=r_step, r_max=r_max).detected
+    assert scanned[0] == points
 
 
 def test_squeezing_range_gain_edge_is_looked_up_at_call_time(monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import product_density, random_orthogonal, random_real_mixed
+from conftest import lossy_tmsv_element, product_density, random_orthogonal, random_real_mixed, thermal_marginal
 
 from cvsteer import (
     A_TO_B,
@@ -12,12 +12,10 @@ from cvsteer import (
     correlation_matrix,
     criterion_rhs,
     fock_density,
-    lossy_tmsv_element,
     optimal_gain,
     paired_variance_sum,
     rotate_tloos,
     swap_fock_modes,
-    thermal_marginal,
     tloo_steerable,
     tmsv_covariance,
     uncertainty_sum,
