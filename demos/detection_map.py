@@ -16,7 +16,8 @@ spec = SweepSpec(
     param_range=(0.05, 0.95, 19),
     criteria=(("gaussian", B_TO_A), ("tloo-n2", B_TO_A)),
 )
-rows = run_sweep(spec)
+result = run_sweep(spec)
+rows = result.rows()
 
 gauss = {(row.r, row.param): row.steerable for row in rows if row.criterion == "gaussian"}
 tloo = {(row.r, row.param): row.steerable for row in rows if row.criterion == "tloo-n2"}
@@ -35,7 +36,7 @@ for eta in etas:
     print(f"{eta:5.2f}  " + " ".join(f"{c:^4}" for c in cells))
 
 buffer = io.StringIO()
-write_sweep_csv(rows, buffer)
+write_sweep_csv(result, buffer)
 with open("loss_detection_map.csv", "w", encoding="utf-8") as handle:
     handle.write(buffer.getvalue())
 print(f"\nwrote {len(rows)} rows to loss_detection_map.csv")

@@ -36,6 +36,7 @@ from .observables import TlooSet, build_tloos, expectation_values, rotate_tloos,
 from .scan import (
     MonogamyReport,
     SqueezingRange,
+    SweepResult,
     SweepRow,
     SweepSpec,
     channel_covariance,

@@ -6,6 +6,7 @@ The library validates every value; this module only parses and prints.
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -59,12 +60,12 @@ def cmd_sweep(args) -> int:
         if int(steps) != steps:  # int() raises on inf and NaN
             raise ValueError(f"grid STEPS must be a whole number, got {steps:g}")
     spec = SweepSpec(args.channel, (r_lo, r_hi, int(r_steps)), (p_lo, p_hi, int(p_steps)), criteria)
-    rows = run_sweep(spec)
+    result = run_sweep(spec)
     with _output(args.out) as stream:
         if args.format == "csv":
-            write_sweep_csv(rows, stream)
+            write_sweep_csv(result, stream)
         else:
-            payload = [{**asdict(row), "direction": DIRECTION_LABELS[row.direction]} for row in rows]
+            payload = [{**asdict(row), "direction": DIRECTION_LABELS[row.direction]} for row in result.rows()]
             print(json.dumps(payload, indent=2), file=stream)
     return EXIT_OK
 
@@ -157,7 +158,9 @@ def _add_common(parser: argparse.ArgumentParser, *names) -> None:
         parser.add_argument(f"--{name}", **_COMMON[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; cmd_* look their library calls up when they run."""
     parser = argparse.ArgumentParser(
         prog="cvsteer",
         description="Steering detection for two-mode squeezed states under loss and amplification.",

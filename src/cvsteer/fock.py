@@ -26,30 +26,9 @@ _SQRT2 = math.sqrt(2.0)
 
 # Mode-ordering transformation between quadrature and ladder-operator bases,
 # and the index shuffles that put derivative variables in (m1, m2, n1, n2) order.
-_U = np.array(
-    [
-        [1.0, 1.0j, 0.0, 0.0],
-        [1.0, -1.0j, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0j],
-        [0.0, 0.0, 1.0, -1.0j],
-    ]
-) / _SQRT2
-_B = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
-)
-_D = np.array(
-    [
-        [0.0, 0.0, 1.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ]
-)
+_U = np.array([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j]]) / _SQRT2
+_B = np.eye(4)[[0, 2, 1, 3]]
+_D = np.eye(4)[[2, 0, 3, 1]]
 
 
 # Monomials y_i y_j (i <= j) of y^T R y, with weight 2 off the diagonal.
@@ -173,15 +152,10 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     table = _exp_neg_quadratic(kernel, (n_a - 1, n_b - 1, n_a - 1, n_b - 1))
     prefactor = 4.0 / np.sqrt(np.linalg.det(cov.matrix() + np.eye(4)))[..., None, None, None, None]
 
-    facs_a = np.array([math.factorial(k) for k in range(n_a)], dtype=float)
-    facs_b = np.array([math.factorial(k) for k in range(n_b)], dtype=float)
-    total = (
-        np.arange(n_a)[:, None, None, None]
-        + np.arange(n_b)[None, :, None, None]
-        + np.arange(n_a)[None, None, :, None]
-        + np.arange(n_b)[None, None, None, :]
-    )
-    fac_products = np.einsum("i,j,k,l->ijkl", facs_a, facs_b, facs_a, facs_b)
+    # Photon totals and factorial products (exact in floats) of (m1, m2), then of (m1, m2, n1, n2).
+    total = np.add.outer(np.arange(n_a), np.arange(n_b))
+    facs = np.multiply.outer(*(np.array([math.factorial(k) for k in range(n)], dtype=float) for n in (n_a, n_b)))
+    total, fac_products = np.add.outer(total, total), np.multiply.outer(facs, facs)
     # rho = prefactor * H / sqrt(m!...) with H = (-1)^total * (m!...) * coeff
     elements = prefactor * (-1.0) ** total * np.sqrt(fac_products) * table
 

@@ -3,13 +3,14 @@
 Everything here composes the criterion modules over (squeezing, channel
 parameter) grids; no detection logic of its own.  Points are evaluated as one
 batch: every stage runs once on the stacked covariances of a whole grid, and a
-single point is a batch of one.  Output rows always come back in deterministic
-grid order (squeezing-major, then channel parameter, then criterion).
+single point is a batch of one.  Sweep results come back as columns in
+deterministic grid order (squeezing-major, then channel parameter), one margin
+column per criterion.
 """
 
-import csv
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -83,12 +84,7 @@ def batch_margins(channel: str, rs, params, criteria) -> list[np.ndarray]:
     else:
         require_physical(cov)
     corr = {n: correlation_matrix(rho, n, n) for n in levels}
-
-    def margin(criterion: str, direction: str):
-        n = CRITERIA[criterion]
-        return gaussian_margin(cov, direction) if n is None else tloo_margin(corr[n], direction)
-
-    return [margin(*pair) for pair in criteria]
+    return [gaussian_margin(cov, d) if CRITERIA[c] is None else tloo_margin(corr[CRITERIA[c]], d) for c, d in criteria]
 
 
 def evaluate_point(channel: str, r: float, param: float, criterion: str, direction: str) -> SteeringVerdict:
@@ -125,12 +121,10 @@ class SweepSpec:
         # The channel rejects squeezing or parameter values outside its domain.
         channel_covariance(self.channel, np.array(self.r_range[:2]), np.array(self.param_range[:2]))
 
-    def grid(self) -> list[tuple[float, float]]:
-        r_lo, r_hi, r_steps = self.r_range
-        p_lo, p_hi, p_steps = self.param_range
-        rs = [r_lo + (r_hi - r_lo) * i / (r_steps - 1) for i in range(r_steps)]
-        ps = [p_lo + (p_hi - p_lo) * i / (p_steps - 1) for i in range(p_steps)]
-        return [(r, p) for r in rs for p in ps]
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The r and parameter of every grid point, squeezing-major."""
+        rs, ps = (lo + (hi - lo) * np.arange(steps) / (steps - 1) for lo, hi, steps in (self.r_range, self.param_range))
+        return np.repeat(rs, ps.size), np.tile(ps, rs.size)
 
 
 @dataclass(frozen=True)
@@ -143,32 +137,52 @@ class SweepRow:
     steerable: bool
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """A sweep as columns in grid order: one margin array per (criterion, direction) pair."""
+
+    r: np.ndarray  # (points,)
+    param: np.ndarray  # (points,)
+    criteria: tuple[tuple[str, str], ...]
+    margins: tuple[np.ndarray, ...]
+
+    @cached_property
+    def steerable(self) -> tuple[np.ndarray, ...]:
+        return tuple(margin > MARGIN_TOL for margin in self.margins)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SweepResult) or self.criteria != other.criteria:
+            return False
+        mine, theirs = (self.r, self.param, *self.margins), (other.r, other.param, *other.margins)
+        return all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+
+    def rows(self) -> list[SweepRow]:
+        """One SweepRow per grid point and pair, in grid order, for callers that want records."""
+        pairs = [(pair, m.tolist(), s.tolist()) for pair, m, s in zip(self.criteria, self.margins, self.steerable)]
+        points = enumerate(zip(self.r.tolist(), self.param.tolist()))
+        return [SweepRow(r, param, *pair, m[i], s[i]) for i, (r, param) in points for pair, m, s in pairs]
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every (criterion, direction) at every grid point, batched, in grid order."""
-    points = spec.grid()
-    margins = [m.tolist() for m in batch_margins(spec.channel, *np.array(points).T, spec.criteria)]
-    return [
-        SweepRow(r, param, criterion, direction, m[i], m[i] > MARGIN_TOL)
-        for i, (r, param) in enumerate(points)
-        for (criterion, direction), m in zip(spec.criteria, margins)
-    ]
+    rs, params = spec.grid()
+    return SweepResult(rs, params, spec.criteria, tuple(batch_margins(spec.channel, rs, params, spec.criteria)))
 
 
-def write_sweep_csv(rows: list[SweepRow], stream) -> None:
-    """Write sweep rows under a header of the SweepRow field names, 9 significant digits."""
-    writer = csv.writer(stream)
-    writer.writerow([field.name for field in fields(SweepRow)])
-    for row in rows:
-        writer.writerow(
-            [
-                f"{row.r:.9g}",
-                f"{row.param:.9g}",
-                row.criterion,
-                DIRECTION_LABELS[row.direction],
-                f"{row.margin:.9g}",
-                "true" if row.steerable else "false",
-            ]
-        )
+def write_sweep_csv(result: SweepResult, stream) -> None:
+    """Write a sweep under a header of the SweepRow field names, 9 significant digits, as
+    csv.writer would (no field needs quoting; \\r\\n line ends), a batch of grid points at a time."""
+    stream.write(",".join(field.name for field in fields(SweepRow)) + "\r\n")
+    labels = [f"{criterion},{DIRECTION_LABELS[direction]}," for criterion, direction in result.criteria]
+    for start in range(0, len(result.r), _SWEEP_BATCH):
+        part = slice(start, start + _SWEEP_BATCH)
+        points = [f"{r:.9g},{param:.9g}," for r, param in zip(result.r[part].tolist(), result.param[part].tolist())]
+        columns = [
+            [f"{label}{m:.9g},{'true' if s else 'false'}\r\n"
+             for m, s in zip(margins[part].tolist(), flags[part].tolist())]
+            for label, margins, flags in zip(labels, result.margins, result.steerable)
+        ]
+        stream.write("".join([point + cell for point, *cells in zip(points, *columns) for cell in cells]))
 
 
 def find_boundary(channel: str, r: float, criterion: str, direction: str) -> float | None:
@@ -234,7 +248,8 @@ def squeezing_range(
 
     Scans the points k * r_step <= r_max, k >= 1 (1 to MAX_GRID_POINTS of
     them; a point within rounding of r_max counts), with endpoint refinement
-    by bisection; only the TLOO criteria are meaningful here.
+    by bisection; only the TLOO criteria are meaningful here.  Raises if the
+    detected points are not one run, naming the first gap.
     """
     if CRITERIA.get(criterion) is None:
         raise ValueError(f"squeezing-range scan requires a TLOO criterion, got {criterion!r}")
@@ -257,12 +272,18 @@ def squeezing_range(
     detected = batch_margins(channel, rs, params, pair)[0] > MARGIN_TOL
     if not detected.any():
         return SqueezingRange(channel, criterion, direction, False)
+    hits = np.flatnonzero(detected)
+    gaps = np.flatnonzero(np.diff(hits) > 1)
+    if gaps.size:
+        before, after = rs[hits[[gaps[0], gaps[0] + 1]]]
+        raise ValueError(f"{criterion} detection is not one run of scan points: "
+                         f"it stops after r={before:.9g} and resumes at r={after:.9g}")
 
     def blind(_, r):
         return batch_margins(channel, r, edge(r), pair)[0] - MARGIN_TOL
 
     # Refine each end where detection (margin > MARGIN_TOL) flips; an empty bracket keeps the scan point.
-    first, last = np.flatnonzero(detected)[[0, -1]]
+    first, last = hits[[0, -1]]
     lo, hi = rs[[max(first - 1, 0), last]], rs[[first, min(last + 1, steps - 1)]]
     r_low, r_high = bisect(blind, lo, hi, xtol=1e-6).tolist()
 

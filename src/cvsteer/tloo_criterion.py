@@ -71,15 +71,24 @@ def correlation_matrix(
             f"truncation levels ({level_a}, {level_b}) exceed density cutoffs ({n_a}, {n_b})"
         )
 
+    # Tr(rho A_i x B_j) = (T_a M T_b^T)_ij, M[(m n), (p q)] = <m p|rho|n q> real, T the flattened
+    # transposes, as real matmuls; at most four (N, n^2, n^2) arrays are alive at once.
     block = rho.elements[..., :level_a, :level_b, :level_a, :level_b]
-    joint = np.einsum("...mpnq,inm,jqp->...ij", block, tloos_a.matrices, tloos_b.matrices)
-    if np.abs(joint.imag).max(initial=0.0) >= 1e-12:
+    joint = block.swapaxes(-3, -2).reshape(*block.shape[:-4], level_a**2, level_b**2)
+    (re_a, im_a), (re_b, im_b) = tloos_a.flat_transposed, tloos_b.flat_transposed
+    right = joint @ re_b.T
+    entries, imag = re_a @ right, im_a @ right
+    np.matmul(joint, im_b.T, out=right)
+    del joint
+    entries -= im_a @ right
+    imag += re_a @ right
+    if np.abs(imag, out=imag).max(initial=0.0) >= 1e-12:
         raise ValueError("joint expectations acquired an imaginary part; state not real?")
     red_a = rho.reduced_a[..., :level_a, :level_a]
     red_b = rho.reduced_b[..., :level_b, :level_b]
     mean_a = expectation_values(red_a, tloos_a)
     mean_b = expectation_values(red_b, tloos_b)
-    entries = joint.real - mean_a[..., :, None] * mean_b[..., None, :]
+    entries -= mean_a[..., :, None] * mean_b[..., None, :]
     weight_a = np.trace(red_a, axis1=-2, axis2=-1).real
     weight_b = np.trace(red_b, axis1=-2, axis2=-1).real
     return CorrelationMatrix(entries, mean_a, mean_b, weight_a, weight_b, level_a, level_b)

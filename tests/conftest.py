@@ -1,11 +1,11 @@
-"""Shared builders for random states, and independent oracles for the channels
-and for the Fock elements."""
+"""Shared builders for random states, and independent oracles for the channels,
+the Fock elements and the TLOO correlation matrix."""
 
 import math
 
 import numpy as np
 
-from cvsteer import MAX_ORDER, FockDensity
+from cvsteer import MAX_ORDER, FockDensity, TlooSet, expectation_values
 from cvsteer.fock import _exp_neg_quadratic
 
 
@@ -145,3 +145,18 @@ def thermal_marginal(r: float, eta: float, k: int) -> float:
         raise ValueError(f"transmittance must lie in (0, 1], got {eta}")
     nbar = eta * (math.cosh(2.0 * r) - 1.0) / 2.0
     return float(nbar**k / (1.0 + nbar) ** (k + 1))
+
+
+def einsum_correlation_entries(rho: FockDensity, tloos_a: TlooSet, tloos_b: TlooSet) -> np.ndarray:
+    """TLOO covariances from one complex three-operand einsum over the Fock block.
+
+    The oracle for correlation_matrix's real matmuls: it contracts the
+    elements with both observable sets in the original index layout and keeps
+    the real part.
+    """
+    level_a, level_b = tloos_a.level, tloos_b.level
+    block = rho.elements[..., :level_a, :level_b, :level_a, :level_b]
+    joint = np.einsum("...mpnq,inm,jqp->...ij", block, tloos_a.matrices, tloos_b.matrices)
+    mean_a = expectation_values(rho.reduced_a[..., :level_a, :level_a], tloos_a)
+    mean_b = expectation_values(rho.reduced_b[..., :level_b, :level_b], tloos_b)
+    return joint.real - mean_a[..., :, None] * mean_b[..., None, :]

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import lossy_tmsv_element
+from cvsteer import scan
 from cvsteer.cli import main
 
 # Sweep CSVs written by the per-point engine that preceded batched evaluation
@@ -177,6 +179,20 @@ def test_rrange_rejects_bad_scan_at_the_edge(capsys, flags, bad):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: {bad}\n"
+    assert captured.out == ""
+
+
+def test_rrange_with_two_detected_runs_exits_2(monkeypatch, capsys):
+    def two_runs(channel, rs, params, criteria):
+        return [np.where((rs < 0.25) | (rs > 0.55), 1.0, -1.0) for _ in criteria]
+
+    monkeypatch.setattr(scan, "batch_margins", two_runs)
+    code = run_cli("rrange", "--channel", "loss", "--level", "2", "--r-step", "0.1", "--r-max", "0.8")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: tloo-n2 detection is not one run of scan points: it stops after r=0.2 and resumes at r=0.6\n"
+    )
     assert captured.out == ""
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -8,6 +9,8 @@ from conftest import lossy_tmsv_element, thermal_marginal
 from cvsteer import (
     A_TO_B,
     B_TO_A,
+    MARGIN_TOL,
+    SweepResult,
     SweepSpec,
     apply_gain,
     apply_loss,
@@ -151,7 +154,7 @@ def test_sweep_batches_join_seamlessly(monkeypatch):
 
 def test_sweep_rows_match_direct_evaluation():
     spec = small_spec()
-    rows = run_sweep(spec)
+    rows = run_sweep(spec).rows()
     assert len(rows) == 4 * 3 * 2
     for row in rows:
         verdict = evaluate_point(spec.channel, row.r, row.param, row.criterion, row.direction)
@@ -166,16 +169,17 @@ def test_sweep_deterministic():
 
 def test_sweep_grid_order():
     spec = small_spec()
-    rows = run_sweep(spec)
+    rows = run_sweep(spec).rows()
     coords = [(row.r, row.param) for row in rows[::2]]
     assert coords == sorted(coords)
 
 
 def test_csv_format():
     spec = small_spec(r_range=(0.2, 0.4, 2), param_range=(0.3, 0.6, 2))
-    rows = run_sweep(spec)
+    result = run_sweep(spec)
+    rows = result.rows()
     buffer = io.StringIO()
-    write_sweep_csv(rows, buffer)
+    write_sweep_csv(result, buffer)
     lines = buffer.getvalue().strip().splitlines()
     assert lines[0] == "r,param,criterion,direction,margin,steerable"
     assert len(lines) == 1 + len(rows)
@@ -184,6 +188,35 @@ def test_csv_format():
     assert first[3] == "b-to-a"
     assert first[5] in ("true", "false")
     float(first[4])  # margin parses
+
+
+def test_csv_bytes_match_csv_writer():
+    # Negative, e-notation and both-flag margins, and e-notation grid values.
+    result = SweepResult(
+        r=np.array([1e-9, 1e-9, 0.35, 0.35]),
+        param=np.array([0.3, 2.5e-7, 0.3, 2.5e-7]),
+        criteria=(("gaussian", B_TO_A), ("tloo-n3", A_TO_B)),
+        margins=(np.array([-0.125, 1.5e-12, 2.0e-10, 0.3333333333333]), np.array([-3.2e-17, MARGIN_TOL, 7.0, -1e22])),
+    )
+    flags = np.concatenate(result.steerable)
+    assert flags.any() and not flags.all()
+    reference = io.StringIO()
+    writer = csv.writer(reference)
+    writer.writerow(["r", "param", "criterion", "direction", "margin", "steerable"])
+    for row in result.rows():
+        writer.writerow([f"{row.r:.9g}", f"{row.param:.9g}", row.criterion, DIRECTION_LABELS[row.direction],
+                         f"{row.margin:.9g}", "true" if row.steerable else "false"])
+    buffer = io.StringIO()
+    write_sweep_csv(result, buffer)
+    assert buffer.getvalue().encode() == reference.getvalue().encode()
+    assert "e-" in buffer.getvalue() and "e+22" in buffer.getvalue()
+
+
+def test_sweep_result_rows_follow_the_columns():
+    result = run_sweep(small_spec())
+    rows = result.rows()
+    assert [row.margin for row in rows[1::2]] == result.margins[1].tolist()
+    assert [row.steerable for row in rows[::2]] == (result.margins[0] > MARGIN_TOL).tolist()
 
 
 def test_loss_sweep_detection_regions():
@@ -195,7 +228,7 @@ def test_loss_sweep_detection_regions():
         param_range=(0.1, 0.9, 9),
         criteria=(("gaussian", B_TO_A), ("tloo-n2", B_TO_A)),
     )
-    rows = run_sweep(spec)
+    rows = run_sweep(spec).rows()
     for row in rows:
         if row.criterion == "gaussian":
             assert row.steerable == (row.param > 0.5)
@@ -296,6 +329,16 @@ def test_squeezing_range_gain_walk_is_capped(monkeypatch):
     monkeypatch.setattr(scan, "batch_margins", always_positive)
     with pytest.raises(ValueError, match="stays positive up to gain 6"):
         squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.2)
+
+
+def test_squeezing_range_reports_a_second_run(monkeypatch):
+    def two_runs(channel, rs, params, criteria):
+        detected = ((rs > 0.15) & (rs < 0.35)) | (rs > 0.55)
+        return [np.where(detected, 1.0, -1.0) for _ in criteria]
+
+    monkeypatch.setattr(scan, "batch_margins", two_runs)
+    with pytest.raises(ValueError, match=r"stops after r=0.3 and resumes at r=0.6$"):
+        squeezing_range("loss", "tloo-n2", B_TO_A, r_step=0.1, r_max=0.8)
 
 
 def test_squeezing_range_ends_refine_where_detection_flips():

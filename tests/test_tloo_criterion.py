@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
-from conftest import lossy_tmsv_element, product_density, random_orthogonal, random_real_mixed, thermal_marginal
+from conftest import (
+    einsum_correlation_entries,
+    lossy_tmsv_element,
+    product_density,
+    random_orthogonal,
+    random_real_mixed,
+    thermal_marginal,
+)
 
 from cvsteer import (
     A_TO_B,
     B_TO_A,
+    FockDensity,
     apply_gain,
     apply_loss,
     build_tloos,
     build_witness,
+    channel_covariance,
     correlation_matrix,
     criterion_rhs,
     fock_density,
@@ -49,6 +58,36 @@ def test_projector_entry_assembly():
     p00 = lossy_tmsv_element(r, 1.0, (0, 0, 0, 0))
     pa0 = thermal_marginal(r, 1.0, 0)
     assert corr.entries[0, 0] == pytest.approx(p00 - pa0 * pa0, abs=1e-12)
+
+
+@pytest.mark.parametrize("channel, params", [("loss", (0.2, 0.45, 0.9)), ("gain", (1.05, 1.4, 2.5))])
+@pytest.mark.parametrize("levels", [(2, 2), (3, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_correlation_matrix_matches_the_einsum_oracle(channel, params, levels, rotated):
+    rs = np.repeat([0.05, 0.6, 1.4], 3)
+    batch = fock_density(channel_covariance(channel, rs, np.tile(params, 3)), 3, 3)
+    sets = [build_tloos(n) for n in levels]
+    if rotated:
+        rng = np.random.default_rng(sum(levels))
+        sets = [rotate_tloos(tloos, random_orthogonal(rng, len(tloos))) for tloos in sets]
+    singles = [FockDensity(batch.elements[i], batch.reduced_a[i], batch.reduced_b[i]) for i in range(rs.size)]
+    for rho in [batch, *singles]:
+        entries = correlation_matrix(rho, *levels, *sets).entries
+        reference = einsum_correlation_entries(rho, *sets)
+        assert np.abs(entries - reference).max() <= 1e-15
+        if levels == (2, 2) and not rotated:  # bit-equal on the canonical n2 sets
+            assert np.array_equal(entries, reference)
+
+
+def test_correlation_matrix_rejects_an_imaginary_joint_expectation():
+    rng = np.random.default_rng(3)
+    elements = product_density(random_real_mixed(rng, 2, 1.0), random_real_mixed(rng, 2, 1.0)).elements
+    # <0 1|rho|1 0> and its mirror element move apart: rho is no longer symmetric.
+    elements[0, 1, 1, 0] += 1e-3
+    elements[1, 0, 0, 1] -= 1e-3
+    rho = FockDensity.from_elements(elements)
+    with pytest.raises(ValueError, match="imaginary part"):
+        correlation_matrix(rho, 2, 2)
 
 
 def test_sym_asym_cross_entries_vanish():
