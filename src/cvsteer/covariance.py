@@ -37,13 +37,23 @@ class TwoModeCovariance:
     Parameterised by (a, b, c1, c2): the diagonal is (a, a, b, b) and the
     off-diagonal mode-coupling block is diag(c1, -c2).  The physical single-mode
     marginals are thermal states with mean photon numbers (a - 1)/2 and
-    (b - 1)/2 respectively.  A batch of states has 1-D array fields.
+    (b - 1)/2 respectively.  excess_a and excess_b carry a - 1 and b - 1
+    without the cancellation of that subtraction (they default to it); the
+    channels below update them exactly.  A batch of states has 1-D array fields.
     """
 
     a: float | np.ndarray
     b: float | np.ndarray
     c1: float | np.ndarray
     c2: float | np.ndarray
+    excess_a: float | np.ndarray | None = None
+    excess_b: float | np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.excess_a is None:
+            object.__setattr__(self, "excess_a", self.a - 1.0)
+        if self.excess_b is None:
+            object.__setattr__(self, "excess_b", self.b - 1.0)
 
     def matrix(self) -> np.ndarray:
         """Explicit covariance matrix (X_A, P_A, X_B, P_B order): 4x4, or (N, 4, 4) for a batch."""
@@ -56,27 +66,30 @@ class TwoModeCovariance:
 
     def swap_modes(self) -> "TwoModeCovariance":
         """Relabel the modes (A <-> B); the coupling block is unchanged."""
-        return TwoModeCovariance(self.b, self.a, self.c1, self.c2)
+        return TwoModeCovariance(self.b, self.a, self.c1, self.c2, self.excess_b, self.excess_a)
 
     @property
     def mean_photons_a(self) -> float:
-        return (self.a - 1.0) / 2.0
+        return self.excess_a / 2.0
 
     @property
     def mean_photons_b(self) -> float:
-        return (self.b - 1.0) / 2.0
+        return self.excess_b / 2.0
 
 
 def tmsv_covariance(r) -> TwoModeCovariance:
     """Two-mode squeezed vacuum with squeezing parameter 0 <= r <= MAX_SQUEEZING.
 
-    Returns the standard form a = b = cosh(2r), c1 = c2 = sinh(2r); r = 0 is
-    the two-mode vacuum.  A 1-D array of r gives a batch.
+    Returns the standard form a = b = cosh(2r), c1 = c2 = sinh(2r), with
+    excess noise a - 1 = 2 sinh(r)^2; r = 0 is the two-mode vacuum.  A 1-D
+    array of r gives a batch.
     """
     _require(np.greater_equal(r, 0.0) & np.less_equal(r, MAX_SQUEEZING), r,
              f"squeezing parameter must lie in [0, {MAX_SQUEEZING:g}]")
     ch, sh = _per_element(math.cosh, 2.0 * r), _per_element(math.sinh, 2.0 * r)
-    return TwoModeCovariance(ch, ch, sh, sh)
+    shr = _per_element(math.sinh, r)
+    excess = 2.0 * shr * shr
+    return TwoModeCovariance(ch, ch, sh, sh, excess, excess)
 
 
 def _require(ok, values, message: str) -> None:
@@ -95,33 +108,37 @@ def _per_element(fn, x):
 def apply_loss(cov: TwoModeCovariance, eta, mode: str = "B") -> TwoModeCovariance:
     """Pure-loss (vacuum noise) channel with transmittance eta on one mode.
 
-    The targeted diagonal maps to eta*x + 1 - eta and both couplings pick up a
-    factor sqrt(eta); the standard form is preserved.
+    The targeted diagonal maps to eta*x + 1 - eta (its excess noise to
+    eta times itself) and both couplings pick up a factor sqrt(eta); the
+    standard form is preserved.
     """
     _require(np.greater(eta, 0.0) & np.less_equal(eta, 1.0), eta, "transmittance must lie in (0, 1]")
     require_physical(cov)
     s = np.sqrt(eta)
-    if mode == "B":
-        return TwoModeCovariance(cov.a, eta * cov.b + 1.0 - eta, s * cov.c1, s * cov.c2)
-    if mode == "A":
-        return TwoModeCovariance(eta * cov.a + 1.0 - eta, cov.b, s * cov.c1, s * cov.c2)
-    raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+    return _on_mode(cov, mode, lambda c: TwoModeCovariance(
+        c.a, eta * c.b + 1.0 - eta, s * c.c1, s * c.c2, c.excess_a, eta * c.excess_b))
 
 
 def apply_gain(cov: TwoModeCovariance, gain, mode: str = "B") -> TwoModeCovariance:
     """Phase-insensitive amplifier with gain factor 1 <= G <= MAX_GAIN on one mode.
 
-    The targeted diagonal maps to G*x + G - 1 and both couplings pick up a
-    factor sqrt(G).
+    The targeted diagonal maps to G*x + G - 1 (its excess noise x - 1 to
+    G*(x - 1) + 2*(G - 1)) and both couplings pick up a factor sqrt(G).
     """
     _require(np.greater_equal(gain, 1.0) & np.less_equal(gain, MAX_GAIN), gain,
              f"gain factor must be finite and lie in [1, {MAX_GAIN:g}]")
     require_physical(cov)
     s = np.sqrt(gain)
+    return _on_mode(cov, mode, lambda c: TwoModeCovariance(
+        c.a, gain * c.b + gain - 1.0, s * c.c1, s * c.c2, c.excess_a, gain * c.excess_b + 2.0 * (gain - 1.0)))
+
+
+def _on_mode(cov: TwoModeCovariance, mode: str, update) -> TwoModeCovariance:
+    """update (a channel on mode B) applied to the named mode: mode A is mode B of the swapped state."""
     if mode == "B":
-        return TwoModeCovariance(cov.a, gain * cov.b + gain - 1.0, s * cov.c1, s * cov.c2)
+        return update(cov)
     if mode == "A":
-        return TwoModeCovariance(gain * cov.a + gain - 1.0, cov.b, s * cov.c1, s * cov.c2)
+        return update(cov.swap_modes()).swap_modes()
     raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
 
 

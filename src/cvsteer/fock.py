@@ -3,8 +3,8 @@
 The matrix elements <m1 m2|rho|n1 n2> of a zero-mean Gaussian state are Taylor
 coefficients of a Gaussian generating function exp(-y^T R y) in four variables,
 up to factorial and determinant prefactors.  The kernel matrix R is an explicit
-function of the covariance matrix.  Elements are computed here by expanding the
-generating function exactly (truncated polynomial arithmetic).
+function of the covariance matrix.  The Taylor table is filled here by the
+derivative recurrence of the generating function, which is exact term by term.
 
 Truncated densities are deliberately *not* renormalised: a renormalised
 truncated state is a different state and detects strictly less.  The weight
@@ -31,11 +31,6 @@ _B = np.eye(4)[[0, 2, 1, 3]]
 _D = np.eye(4)[[2, 0, 3, 1]]
 
 
-# Monomials y_i y_j (i <= j) of y^T R y, with weight 2 off the diagonal.
-_UPPER = np.triu_indices(4)
-_UPPER_WEIGHT = np.where(_UPPER[0] == _UPPER[1], 1.0, 2.0)
-
-
 def hermite_kernel(cov: TwoModeCovariance) -> np.ndarray:
     """Kernel matrix R of the Fock-element generating function exp(-y^T R y).
 
@@ -58,34 +53,27 @@ def hermite_kernel(cov: TwoModeCovariance) -> np.ndarray:
 def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -> np.ndarray:
     """Taylor table of exp(-y^T R y) truncated at the given per-variable degrees.
 
-    Entry [..., p1, p2, p3, p4] is the coefficient of y1^p1 y2^p2 y3^p3 y4^p4,
-    with the batch axes of the kernel in front.  Multiplication only raises
-    powers, so clipping at the target degrees is exact for every retained
-    coefficient.  A monomial is dropped only when its coefficient vanishes at
-    every state, and the expansion stops when the whole batch's term vanishes;
-    the zeros this adds elsewhere leave each state's table bit-identical to
-    its own expansion.
+    Entry [..., p1, p2, p3, p4] is the coefficient c[p] of y1^p1 y2^p2 y3^p3 y4^p4,
+    with the batch axes of the kernel in front.  Differentiating the function
+    gives (p_i + 1) c[p + e_i] = -2 sum_j R_ij c[p - e_j] (Miatto & Quesada,
+    Quantum 4, 366 (2020)).  Axis i is filled last to first, a slice at a time:
+    the earlier axes are held at 0, so only the terms j >= i are nonzero, and
+    the later axes are already complete.  The arithmetic is elementwise, so
+    each state's table is bit-identical to the one it gets on its own.
     """
-    shape = kernel.shape[:-2] + tuple(d + 1 for d in degrees)
-    coeffs = -kernel[..., _UPPER[0], _UPPER[1]] * _UPPER_WEIGHT
-    live = coeffs.reshape(-1, len(_UPPER_WEIGHT)).any(axis=0)
-    monomials = []
-    for m in np.flatnonzero(live):
-        shift = np.bincount([_UPPER[0][m], _UPPER[1][m]], minlength=4)
-        src = (...,) + tuple(slice(0, d + 1 - s) for d, s in zip(degrees, shift))
-        dst = (...,) + tuple(slice(s, d + 1) for d, s in zip(degrees, shift))
-        monomials.append((coeffs[..., m, None, None, None, None], src, dst))
-    table = np.zeros(shape)
+    batch = kernel.shape[:-2]
+    table = np.zeros(batch + tuple(d + 1 for d in degrees))
     table[..., 0, 0, 0, 0] = 1.0
-    term = table.copy()
-    for k in range(1, sum(degrees) // 2 + 1):
-        nxt = np.zeros(shape)
-        for coeff, src, dst in monomials:
-            nxt[dst] += coeff * term[src]
-        term = nxt / k
-        if not term.any():
-            break
-        table += term
+    for i in reversed(range(4)):
+        head, rest = (...,) + (0,) * i, (slice(None),) * (3 - i)  # earlier axes at 0, later axes whole
+        weight = [kernel[..., i, j][(...,) + (None,) * (3 - i)] for j in range(4)]
+        for k in range(degrees[i]):
+            current = table[head + (k,) + rest]
+            step = weight[i] * table[head + (k - 1,) + rest] if k else np.zeros_like(current)
+            for j in range(i + 1, 4):  # c[p - e_j] is zero where p_j = 0
+                tail = (slice(None),) * (3 - j)
+                step[(..., slice(1, None)) + tail] += weight[j] * current[(..., slice(None, -1)) + tail]
+            table[head + (k + 1,) + rest] = step * (-2.0 / (k + 1))
     return table
 
 
@@ -97,13 +85,23 @@ class FockDensity:
     scope).  reduced_a / reduced_b are the *exact* single-mode reduced density
     matrices on the truncated levels, including the weight the other mode
     carries beyond its cutoff; for standard-form Gaussian states they are
-    diagonal thermal states.  A batch of states puts one leading axis in front
-    of every array.
+    diagonal thermal states.  excited_a / excited_b are 1 - <0|rho_A|0> and
+    1 - <0|rho_B|0>, exact where the constructor knows them (nbar / (1 + nbar)
+    for thermal marginals) and that subtraction otherwise.  A batch of states
+    puts one leading axis in front of every array.
     """
 
     elements: np.ndarray
     reduced_a: np.ndarray
     reduced_b: np.ndarray
+    excited_a: float | np.ndarray | None = None
+    excited_b: float | np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.excited_a is None:
+            object.__setattr__(self, "excited_a", 1.0 - self.reduced_a[..., 0, 0])
+        if self.excited_b is None:
+            object.__setattr__(self, "excited_b", 1.0 - self.reduced_b[..., 0, 0])
 
     @property
     def cutoffs(self) -> tuple[int, int]:
@@ -137,8 +135,8 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     """All truncated Fock elements of a standard-form Gaussian state, or of
     each state of a batch.
 
-    One truncated expansion of the generating function yields every element
-    with indices below the cutoffs.  Raises if a cutoff exceeds the order
+    One Taylor table of the generating function yields every element with
+    indices below the cutoffs.  Raises if a cutoff exceeds the order
     guard or a covariance is unphysical.
     """
     if n_a < 1 or n_b < 1:
@@ -152,16 +150,15 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     table = _exp_neg_quadratic(kernel, (n_a - 1, n_b - 1, n_a - 1, n_b - 1))
     prefactor = 4.0 / np.sqrt(np.linalg.det(cov.matrix() + np.eye(4)))[..., None, None, None, None]
 
-    # Photon totals and factorial products (exact in floats) of (m1, m2), then of (m1, m2, n1, n2).
-    total = np.add.outer(np.arange(n_a), np.arange(n_b))
+    # Factorial products (exact in floats) of (m1, m2), then of (m1, m2, n1, n2).  rho = prefactor *
+    # H / sqrt(m!...) with H = (-1)^total * (m!...) * coeff; coeff vanishes at odd totals, exp(-y^T R y) being even.
     facs = np.multiply.outer(*(np.array([math.factorial(k) for k in range(n)], dtype=float) for n in (n_a, n_b)))
-    total, fac_products = np.add.outer(total, total), np.multiply.outer(facs, facs)
-    # rho = prefactor * H / sqrt(m!...) with H = (-1)^total * (m!...) * coeff
-    elements = prefactor * (-1.0) ** total * np.sqrt(fac_products) * table
+    elements = prefactor * np.sqrt(np.multiply.outer(facs, facs)) * table
 
-    reduced_a = thermal_occupations(cov.mean_photons_a, n_a)[..., None] * np.eye(n_a)
-    reduced_b = thermal_occupations(cov.mean_photons_b, n_b)[..., None] * np.eye(n_b)
-    return FockDensity(elements, reduced_a, reduced_b)
+    nbar_a, nbar_b = cov.mean_photons_a, cov.mean_photons_b
+    reduced_a = thermal_occupations(nbar_a, n_a)[..., None] * np.eye(n_a)
+    reduced_b = thermal_occupations(nbar_b, n_b)[..., None] * np.eye(n_b)
+    return FockDensity(elements, reduced_a, reduced_b, nbar_a / (1.0 + nbar_a), nbar_b / (1.0 + nbar_b))
 
 
 def fock_density_json(rho: FockDensity, threshold: float = 1e-14) -> dict:

@@ -49,6 +49,9 @@ CHANNELS = {
 MAX_GRID_POINTS = 250_000
 _SWEEP_BATCH = 16_384
 
+# Points of the pre-scan find_boundary makes over a channel's parameter bracket.
+_BOUNDARY_GRID = 64
+
 
 def _channel(name: str) -> Channel:
     if name not in CHANNELS:
@@ -188,15 +191,23 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
 def find_boundary(channel: str, r: float, criterion: str, direction: str) -> float | None:
     """Bisect the channel parameter where the criterion margin changes sign.
 
-    Returns None when the margin has the same sign across the whole physical
-    parameter range (no boundary).
+    A coarse grid over the physical parameter range is evaluated first, as one
+    batch.  Returns None when the margin has the same sign at every grid point
+    (no boundary) and raises ValueError naming each sign change when there is
+    more than one; a single one is bisected over the whole range.
     """
     if r <= 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got {r}")
-    lo, hi = _channel(channel).bracket
-    margins = _margins(channel, criterion, direction, np.array([r, r]))
-    m_lo, m_hi = margins(np.arange(2), np.array([lo, hi]))
-    if (m_lo > 0.0) == (m_hi > 0.0):
+    spec = _channel(channel)
+    lo, hi = spec.bracket
+    grid = np.linspace(lo, hi, _BOUNDARY_GRID)
+    margins = _margins(channel, criterion, direction, np.full(grid.size, r))
+    positive = margins(np.arange(grid.size), grid) > 0.0
+    flips = np.flatnonzero(positive[1:] != positive[:-1])
+    if flips.size > 1:
+        cells = ", ".join(f"{spec.param}={grid[i]:.9g} and {grid[i + 1]:.9g}" for i in flips)
+        raise ValueError(f"{criterion} margin changes sign {flips.size} times at r={r:.9g}: between {cells}")
+    if not flips.size:
         return None
     return float(bisect(margins, [lo], [hi])[0])
 

@@ -7,10 +7,12 @@ model for the untrusted mode must satisfy
     ||C||_tr <= sqrt((w_A - sum <A_i>^2) * (n' * w_B - sum <B_j>^2))
 
 where w_A, w_B are the weights on the truncated levels; the trusted factor
-carries no level multiplier while the untrusted one does.  Violations come
-with an explicit witness: rotating both observable sets by the singular-value
-factors of C concentrates all correlation on the diagonal, where a single
-linear-estimate variance sum beats its uncertainty bound.
+carries no level multiplier while the untrusted one does.  For any TLOO set
+sum <A_i>^2 = Tr rho_A^2, so the trusted factor is evaluated as
+Tr rho_A - Tr rho_A^2, which does not cancel on a near-vacuum marginal.
+Violations come with an explicit witness: rotating both observable sets by the
+singular-value factors of C concentrates all correlation on the diagonal, where
+a single linear-estimate variance sum beats its uncertainty bound.
 """
 
 from dataclasses import dataclass
@@ -34,6 +36,10 @@ class CorrelationMatrix:
     weight_b: float | np.ndarray
     level_a: int
     level_b: int
+    reduced_a: np.ndarray  # (level_a, level_a) truncated reduced state
+    reduced_b: np.ndarray
+    excited_a: float | np.ndarray  # 1 - <0|rho_A|0>, exact
+    excited_b: float | np.ndarray
 
     @cached_property
     def trace_norm(self):
@@ -45,6 +51,22 @@ class CorrelationMatrix:
 
     def variance_sum_b(self):
         return self.level_b * self.weight_b - (self.mean_b**2).sum(axis=-1)
+
+    def trusted_factor_a(self):
+        """Tr rho_A - Tr rho_A^2 on the truncated levels (= weight_a - sum of squared means)."""
+        return _trusted_factor(self.reduced_a, self.excited_a)
+
+    def trusted_factor_b(self):
+        return _trusted_factor(self.reduced_b, self.excited_b)
+
+
+def _trusted_factor(reduced: np.ndarray, excited):
+    """rho_00 (1 - rho_00) plus the other diagonal entries minus the other squared entries, with
+    1 - rho_00 exact: none of the three terms cancels when rho is close to the vacuum."""
+    squares = reduced**2
+    squares[..., 0, 0] = 0.0
+    others = reduced.diagonal(0, -2, -1)[..., 1:].sum(axis=-1) - squares.sum(axis=(-2, -1))
+    return reduced[..., 0, 0] * excited + others
 
 
 def correlation_matrix(
@@ -91,22 +113,23 @@ def correlation_matrix(
     entries -= mean_a[..., :, None] * mean_b[..., None, :]
     weight_a = np.trace(red_a, axis1=-2, axis2=-1).real
     weight_b = np.trace(red_b, axis1=-2, axis2=-1).real
-    return CorrelationMatrix(entries, mean_a, mean_b, weight_a, weight_b, level_a, level_b)
+    return CorrelationMatrix(
+        entries, mean_a, mean_b, weight_a, weight_b, level_a, level_b, red_a, red_b, rho.excited_a, rho.excited_b
+    )
 
 
 def criterion_rhs(corr: CorrelationMatrix, direction: str = B_TO_A):
     """Local-hidden-state bound on the trace norm for the given direction, one
     per state of a batch.
 
-    The trusted-side factor is weight - sum of squared means; the untrusted
-    side additionally carries its level multiplier.
+    The trusted-side factor is weight - sum of squared means, taken as
+    Tr rho - Tr rho^2; the untrusted side additionally carries its level
+    multiplier.
     """
-    factor_a = corr.weight_a - (corr.mean_a**2).sum(axis=-1)
-    factor_b = corr.weight_b - (corr.mean_b**2).sum(axis=-1)
     if direction == B_TO_A:
-        radicand = factor_a * corr.variance_sum_b()
+        radicand = corr.trusted_factor_a() * corr.variance_sum_b()
     elif direction == A_TO_B:
-        radicand = factor_b * corr.variance_sum_a()
+        radicand = corr.trusted_factor_b() * corr.variance_sum_a()
     else:
         raise ValueError(f"unknown direction {direction!r}")
     if np.any(radicand < -1e-12):
@@ -215,4 +238,6 @@ def swap_fock_modes(rho: FockDensity) -> FockDensity:
         np.ascontiguousarray(rho.elements.transpose(1, 0, 3, 2)),
         rho.reduced_b,
         rho.reduced_a,
+        rho.excited_b,
+        rho.excited_a,
     )

@@ -1,11 +1,12 @@
 """Shared builders for random states, and independent oracles for the channels,
-the Fock elements and the TLOO correlation matrix."""
+the Fock elements, the TLOO correlation matrix and the TLOO margin."""
 
 import math
 
+import mpmath
 import numpy as np
 
-from cvsteer import MAX_ORDER, FockDensity, TlooSet, expectation_values
+from cvsteer import B_TO_A, MAX_ORDER, FockDensity, TlooSet, expectation_values
 from cvsteer.fock import _exp_neg_quadratic
 
 
@@ -145,6 +146,59 @@ def thermal_marginal(r: float, eta: float, k: int) -> float:
         raise ValueError(f"transmittance must lie in (0, 1], got {eta}")
     nbar = eta * (math.cosh(2.0 * r) - 1.0) / 2.0
     return float(nbar**k / (1.0 + nbar) ** (k + 1))
+
+
+def kraus_tmsv_elements(channel: str, r: float, param: float, n_a: int, n_b: int) -> np.ndarray:
+    """Closed-form <m1 m2|rho|n1 n2> of a two-mode squeezed vacuum after loss or gain on mode B,
+    as 50-digit mpmath numbers in an object array of shape (n_a, n_b, n_a, n_b).
+
+    Sums the channel's Kraus operators over the Schmidt decomposition
+    sqrt(1 - l^2) sum_m l^m |m, m>, l = tanh r, so it never touches the
+    generating function.  Loss (transmittance eta) takes k photons from B with
+    amplitude sqrt(C(m, k) eta^(m - k) (1 - eta)^k); gain G adds k photons with
+    amplitude sqrt(C(m + k, k) (G - 1)^k / G^(k + 1)) G^(-m/2).  An element
+    vanishes unless both sides have the same photon-number difference.
+    """
+    if channel not in ("loss", "gain"):
+        raise ValueError(f"unknown channel {channel!r}")
+    out = np.full((n_a, n_b, n_a, n_b), mpmath.mpf(0), dtype=object)
+    with mpmath.workdps(50):
+        lam, x = mpmath.tanh(r), mpmath.mpf(param)
+        for m1, m2, n1, n2 in np.ndindex(out.shape):
+            k = m1 - m2 if channel == "loss" else m2 - m1
+            if k < 0 or k != (n1 - n2 if channel == "loss" else n2 - n1):
+                continue
+            if channel == "loss":
+                amps = [lam**m * mpmath.sqrt(math.comb(m, k) * x ** (m - k) * (1 - x) ** k) for m in (m1, n1)]
+            else:
+                amps = [(lam / mpmath.sqrt(x)) ** m * mpmath.sqrt(math.comb(m + k, k) * (x - 1) ** k / x ** (k + 1))
+                        for m in (m1, n1)]
+            out[m1, m2, n1, n2] = (1 - lam**2) * amps[0] * amps[1]
+    return out
+
+
+def reference_margin(channel: str, r: float, param: float, level: int, direction: str):
+    """TLOO margin at the given level of a squeezed vacuum through the channel on B, at 50 digits.
+
+    The TLOOs are an orthonormal Hermitian basis, so the correlation matrix is
+    the realignment M[(m n), (p q)] of rho - rho_A (x) rho_B up to unitaries on
+    each side and its trace norm is M's nuclear norm; the squared means sum to
+    Tr rho_X^2.  The marginals are thermal with mean photon numbers sinh(r)^2 on
+    A and eta sinh(r)^2 (loss) or G sinh(r)^2 + G - 1 (gain) on B.
+    """
+    block = kraus_tmsv_elements(channel, r, param, level, level)
+    with mpmath.workdps(50):
+        nbar_a = mpmath.sinh(r) ** 2
+        nbar_b = param * nbar_a if channel == "loss" else param * nbar_a + (mpmath.mpf(param) - 1)
+        p_a, p_b = ([nbar**k / (1 + nbar) ** (k + 1) for k in range(level)] for nbar in (nbar_a, nbar_b))
+        realigned = mpmath.matrix(level**2, level**2)
+        for m, p, n, q in np.ndindex(block.shape):
+            realigned[m * level + n, p * level + q] = block[m, p, n, q] - (p_a[m] * p_b[p] if (m, p) == (n, q) else 0)
+        trace_norm = mpmath.fsum(mpmath.svd_r(realigned, compute_uv=False))
+        trusted, untrusted = (p_a, p_b) if direction == B_TO_A else (p_b, p_a)
+        trusted_factor = mpmath.fsum(trusted) - mpmath.fsum(p**2 for p in trusted)
+        untrusted_factor = level * mpmath.fsum(untrusted) - mpmath.fsum(p**2 for p in untrusted)
+        return trace_norm - mpmath.sqrt(trusted_factor * untrusted_factor)
 
 
 def einsum_correlation_entries(rho: FockDensity, tloos_a: TlooSet, tloos_b: TlooSet) -> np.ndarray:

@@ -131,6 +131,12 @@ def test_boundary_none_exit_code(capsys):
     assert "no boundary" in capsys.readouterr().out
 
 
+def test_boundary_with_two_crossings_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(scan, "batch_margins", lambda channel, rs, params, criteria: [(params - 0.3) * (params - 0.7)])
+    assert run_cli("boundary", "--channel", "loss", "--r", "0.4", "--criterion", "tloo") == 2
+    assert "changes sign 2 times" in capsys.readouterr().err
+
+
 def test_boundary_writes_to_out(tmp_path, capsys):
     out = tmp_path / "boundary.txt"
     code = run_cli("boundary", "--channel", "loss", "--r", "0.4", "--out", str(out))

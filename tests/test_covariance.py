@@ -197,3 +197,29 @@ def test_swap_modes():
     perm = np.zeros((4, 4))
     perm[0, 2] = perm[1, 3] = perm[2, 0] = perm[3, 1] = 1.0
     np.testing.assert_allclose(swapped.matrix(), perm @ gamma @ perm.T)
+
+
+def test_excess_noise_is_carried_exactly():
+    # a - 1 rounds to 0 below r ~ 7e-9; the excess field keeps 2 sinh(r)^2 through every channel.
+    r, eta, gain = 1e-9, 0.3, 1.7
+    x = 2.0 * np.sinh(r) ** 2
+    cov = tmsv_covariance(r)
+    assert cov.a - 1.0 == 0.0
+    assert (cov.excess_a, cov.excess_b) == pytest.approx((x, x), rel=1e-15)
+    lossy = apply_loss(cov, eta, "B")
+    assert (lossy.excess_a, lossy.excess_b) == pytest.approx((x, eta * x), rel=1e-15)
+    amplified = apply_gain(cov, gain, "A")
+    assert amplified.excess_a == pytest.approx(gain * x + 2.0 * (gain - 1.0), rel=1e-15)
+    assert amplified.mean_photons_a == amplified.excess_a / 2.0
+    swapped = amplified.swap_modes()
+    assert (swapped.excess_a, swapped.excess_b) == (amplified.excess_b, amplified.excess_a)
+    # Four-field constructions default to a - 1 and b - 1.
+    plain = TwoModeCovariance(2.0, 3.0, 0.5, 0.25)
+    assert (plain.excess_a, plain.excess_b) == (1.0, 2.0)
+
+
+def test_batched_excess_noise_matches_each_state():
+    rs = np.array([0.0, 1e-9, 0.3, 2.0, 5.0])
+    batch = tmsv_covariance(rs)
+    for i, r in enumerate(rs):
+        assert (batch.excess_a[i], batch.excess_b[i]) == (tmsv_covariance(r).excess_a, tmsv_covariance(r).excess_b)

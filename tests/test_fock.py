@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import hermite_coefficient, lossy_tmsv_element, thermal_marginal
+from conftest import hermite_coefficient, kraus_tmsv_elements, lossy_tmsv_element, thermal_marginal
 from cvsteer import (
     FockDensity,
     apply_gain,
     apply_loss,
+    channel_covariance,
     fock_density,
     fock_density_json,
     hermite_kernel,
@@ -15,6 +17,7 @@ from cvsteer import (
     tmsv_covariance,
     TwoModeCovariance,
 )
+from cvsteer.fock import _exp_neg_quadratic
 
 COSH1 = 1.5430806348152437
 SINH1 = 1.1752011936438014
@@ -151,6 +154,23 @@ def test_hermite_against_sympy():
         assert hermite_coefficient(kernel, orders) == pytest.approx(expected, abs=1e-12), orders
 
 
+def test_taylor_table_against_sympy_at_mixed_degrees():
+    # A kernel with c1 != c2 (every entry nonzero) and a different degree on every axis.
+    import sympy as sp
+
+    kernel = hermite_kernel(TwoModeCovariance(1.8, 1.4, 0.6, 0.3))
+    degrees = (3, 1, 2, 2)
+    y = sp.symbols("y1:5")
+    quad = sum(sp.Rational(float(kernel[i, j])) * y[i] * y[j] for i in range(4) for j in range(4))
+    series = sp.Poly(sum((-quad) ** k / sp.factorial(k) for k in range(sum(degrees) // 2 + 1)), *y)
+    expected = np.zeros(tuple(d + 1 for d in degrees))
+    for powers, coeff in series.terms():
+        if all(p <= d for p, d in zip(powers, degrees)):
+            expected[powers] = float(coeff)
+    assert np.count_nonzero(expected) > 30
+    np.testing.assert_allclose(_exp_neg_quadratic(kernel, degrees), expected, rtol=0, atol=1e-14)
+
+
 def test_hermite_consistent_with_element():
     # Orders (1,1,0,0) reproduce the (1,1,0,0) element through the prefactor.
     r = 0.5
@@ -224,7 +244,8 @@ def test_batched_density_matches_each_state():
         apply_gain(tmsv_covariance(0.4), 1.7, "B"),
         TwoModeCovariance(1.8, 1.3, 0.7, 0.2),
     ]
-    batch = TwoModeCovariance(*(np.array([getattr(c, f) for c in states]) for f in ("a", "b", "c1", "c2")))
+    fields = [f.name for f in dataclasses.fields(TwoModeCovariance)]
+    batch = TwoModeCovariance(*(np.array([getattr(c, f) for c in states]) for f in fields))
     for n_a, n_b in ((1, 1), (2, 3), (4, 4), (7, 7)):
         rho = fock_density(batch, n_a, n_b)
         assert rho.elements.shape == (len(states), n_a, n_b, n_a, n_b)
@@ -233,7 +254,18 @@ def test_batched_density_matches_each_state():
             assert np.array_equal(rho.elements[i], single.elements)
             assert np.array_equal(rho.reduced_a[i], single.reduced_a)
             assert np.array_equal(rho.reduced_b[i], single.reduced_b)
+            assert (rho.excited_a[i], rho.excited_b[i]) == (single.excited_a, single.excited_b)
             assert rho.trace_weight[i] == single.trace_weight
+
+
+@pytest.mark.parametrize("channel, params", [("loss", (0.05, 0.5, 1.0)), ("gain", (1.0, 1.7, 10.0))])
+def test_top_cutoff_density_matches_the_kraus_closed_form(channel, params):
+    # Every element at cutoffs (7, 7), the order guard's limit, against the Kraus sum.
+    for r in (0.02, 0.6, 1.3):
+        rho = fock_density(channel_covariance(channel, np.full(3, r), np.array(params)), 7, 7)
+        for i, param in enumerate(params):
+            reference = kraus_tmsv_elements(channel, r, param, 7, 7).astype(float)
+            assert np.abs(rho.elements[i] - reference).max() <= 1e-12, (r, param)
 
 
 def test_batched_density_rejects_one_unphysical_state():

@@ -1,5 +1,6 @@
 """Property tests over the whole documented domain: r in [0, MAX_SQUEEZING],
-eta in (0, 1] and G in [1, MAX_GAIN], with either mode sent through the channel."""
+eta in (0, 1] and G in [1, MAX_GAIN], with either mode sent through the channel,
+and near the vacuum against a 50-digit reference margin."""
 
 import math
 
@@ -9,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_margin
 from cvsteer import (
     A_TO_B,
     B_TO_A,
@@ -18,6 +20,7 @@ from cvsteer import (
     apply_gain,
     apply_loss,
     build_witness,
+    channel_covariance,
     check_physical,
     fock_density,
     gaussian_margin,
@@ -65,10 +68,8 @@ def test_mode_swap_mirrors_direction(cov, n):
     assert abs(margin - tloo_steerable(swap_fock_modes(rho), n, n, B_TO_A).margin) <= 1e-12
 
 
-# The sqrt in criterion_rhs turns the ~1e-16 rounding of its radicand into up to
-# ~1e-8 of margin, and the witness's violation of its bound is quadratic in the
-# margin; the property asks for a witness where the margin is resolved.
-RESOLVED_MARGIN = 1e-6
+# Margins resolved away from MARGIN_TOL; the witness's violation of its bound is quadratic in the margin.
+RESOLVED_MARGIN = MARGIN_TOL + 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,10 +85,33 @@ def test_flagged_states_yield_violating_witnesses(cov, n, direction):
             build_witness(rho, n, n, direction)
 
 
-@pytest.mark.xfail(raises=RuntimeError, strict=True, reason="margin below rounding resolution at r ~ 1e-8")
-def test_witness_for_a_margin_at_the_rounding_floor():
-    # Flagged with margin 2.1e-8, but the bound's trusted factor cancels to 0 and
-    # the witness's variance sum misses its bound by rounding.
-    rho = fock_density(apply_gain(tmsv_covariance(1.1761287964795848e-08), 1.069530210609182, "B"), 3, 3)
-    assert tloo_steerable(rho, 3, 3, B_TO_A).margin > MARGIN_TOL + 1e-9
-    build_witness(rho, 3, 3, B_TO_A)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(-12.0, -2.0).map(lambda exponent: 10.0**exponent),
+    st.sampled_from([("loss", 0.0, 1.0), ("gain", 1.0, MAX_GAIN)]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([2, 3]),
+    st.sampled_from([B_TO_A, A_TO_B]),
+)
+def test_near_vacuum_verdicts_match_the_reference(r, channel, u, n, direction):
+    channel, lo, hi = channel
+    param = max(lo + (hi - lo) * u, 1e-6)
+    reference = reference_margin(channel, r, param, n, direction)
+    if abs(reference) > 2 * MARGIN_TOL:
+        rho = fock_density(channel_covariance(channel, r, param), n, n)
+        assert tloo_steerable(rho, n, n, direction).steerable == (reference > 0)
+
+
+def test_near_vacuum_witness_is_refused():
+    # Gain on B at r = 1.18e-8: the margin scales with r as it does at r = 1e-4, so the
+    # state is not flagged and no witness is built.
+    def margin(r):
+        rho = fock_density(apply_gain(tmsv_covariance(r), 1.069530210609182, "B"), 3, 3)
+        return tloo_steerable(rho, 3, 3, B_TO_A).margin, rho
+
+    r = 1.1761287964795848e-08
+    (near, rho), (far, _) = margin(r), margin(1e-4)
+    assert abs(near / r - far / 1e-4) < 1e-3
+    assert near < MARGIN_TOL - 1e-9 and reference_margin("gain", r, 1.069530210609182, 3, B_TO_A) < 0
+    with pytest.raises(ValueError, match="not flagged steerable"):
+        build_witness(rho, 3, 3, B_TO_A)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import lossy_tmsv_element, thermal_marginal
+from conftest import lossy_tmsv_element, reference_margin, thermal_marginal
 from cvsteer import (
     A_TO_B,
     B_TO_A,
@@ -257,7 +257,7 @@ def test_boundary_tloo_below_half():
 # (r, loss tloo-n2 B->A, gain gaussian A->B) boundaries as computed by
 # scipy.optimize.bisect on per-point margins before the batched bisection.
 PINNED_FIND_BOUNDARY = [
-    (1e-09, None, None),
+    (1e-09, 0.49999983689898997, None),
     (0.05, 0.469159858288087, 1.002495842055486),
     (0.3, 0.4011129094760493, 1.0848630350092945),
     (1.0, 0.5377304333808496, 1.5800256598749656),
@@ -270,6 +270,27 @@ PINNED_FIND_BOUNDARY = [
 def test_find_boundary_is_pinned(r, loss, gain):
     assert repr(find_boundary("loss", r, "tloo-n2", B_TO_A)) == repr(loss)
     assert repr(find_boundary("gain", r, "gaussian", A_TO_B)) == repr(gain)
+    # The 50-digit margin changes sign within 1e-6 of the pinned loss boundary.
+    assert reference_margin("loss", r, loss - 1e-6, 2, B_TO_A) < 0 < reference_margin("loss", r, loss + 1e-6, 2, B_TO_A)
+
+
+def two_crossings(channel, rs, params, criteria):
+    return [(params - 0.3) * (params - 0.7) for _ in criteria]
+
+
+def three_crossings(channel, rs, params, criteria):
+    return [(params - 2) * (params - 3) * (params - 4) for _ in criteria]
+
+
+def test_find_boundary_reports_every_crossing(monkeypatch):
+    # Two crossings used to return None, three one of them silently.
+    monkeypatch.setattr(scan, "batch_margins", two_crossings)
+    with pytest.raises(ValueError, match=r"tloo-n2 margin changes sign 2 times at r=0.5: "
+                                         r"between eta=0.285715 and 0.301588, eta=0.698413 and 0.714286$"):
+        find_boundary("loss", 0.5, "tloo-n2", B_TO_A)
+    monkeypatch.setattr(scan, "batch_margins", three_crossings)
+    with pytest.raises(ValueError, match="changes sign 3 times"):
+        find_boundary("gain", 0.5, "gaussian", A_TO_B)
 
 
 def test_boundary_absent():

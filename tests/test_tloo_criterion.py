@@ -318,3 +318,30 @@ def test_mixed_levels_supported():
     tloos_a, tloos_b = build_tloos(3), build_tloos(2)
     lhs, bound = paired_variance_sum(rho, tloos_a, tloos_b, 0.3)
     assert np.isfinite(lhs) and np.isfinite(bound)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_trusted_factor_is_weight_minus_squared_means(rotated):
+    # Tr rho - Tr rho^2 = weight - sum <A_j>^2 for any TLOO set, on thermal marginals and on the
+    # non-diagonal marginals of from_elements states.
+    rng = np.random.default_rng(11)
+    states = [gained_density(0.4, 1.3, 3), lossy_density(1.2, 0.6, 3),
+              product_density(random_real_mixed(rng, 3), random_real_mixed(rng, 3))]
+    for rho in states:
+        sets = [build_tloos(3), build_tloos(3)]
+        if rotated:
+            sets = [rotate_tloos(tloos, random_orthogonal(rng, 9)) for tloos in sets]
+        corr = correlation_matrix(rho, 3, 3, *sets)
+        for factor, weight, mean in ((corr.trusted_factor_a(), corr.weight_a, corr.mean_a),
+                                     (corr.trusted_factor_b(), corr.weight_b, corr.mean_b)):
+            assert factor == pytest.approx(weight - (mean**2).sum(), abs=1e-15)
+
+
+def test_trusted_factor_keeps_its_accuracy_near_vacuum():
+    # 1 - p_0 is taken as nbar / (1 + nbar): the factor stays 2 nbar (1 - O(nbar)) where
+    # weight - sum <A_j>^2 would round to 0.
+    r = 1e-9
+    corr = correlation_matrix(lossy_density(r, 0.5, 3), 3, 3)
+    nbar_a, nbar_b = np.sinh(r) ** 2, 0.5 * np.sinh(r) ** 2
+    assert corr.trusted_factor_a() == pytest.approx(2.0 * nbar_a, rel=1e-12)
+    assert corr.trusted_factor_b() == pytest.approx(2.0 * nbar_b, rel=1e-12)
