@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import TwoModeCovariance, apply_gain, apply_loss, require_physical, tmsv_covariance
 from .fock import fock_density
-from .gaussian_criterion import bisect, gaussian_gain_boundary, gaussian_margin
+from .gaussian_criterion import gaussian_gain_boundary, gaussian_loss_boundary, gaussian_margin
 from .tloo_criterion import correlation_matrix, tloo_margin
 from .verdict import A_TO_B, B_TO_A, DIRECTION_LABELS, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
@@ -38,8 +38,8 @@ class Channel:
 
 
 CHANNELS = {
-    "loss": Channel(apply_loss, "eta", (1e-6, 1.0), (0.05, 0.95, 120), {B_TO_A: lambda r: np.full_like(r, 0.5)}, False),
-    # The lambda looks gaussian_gain_boundary up at call time, so a rebinding of the module attribute reaches it.
+    # The lambdas look the boundaries up at call time, so a rebinding of the module attributes reaches them.
+    "loss": Channel(apply_loss, "eta", (1e-6, 1.0), (0.05, 0.95, 120), {B_TO_A: lambda r: gaussian_loss_boundary(r)}, False),
     "gain": Channel(apply_gain, "gain", (1 + 1e-12, 6.0), (1.0, 2.0, 120), {A_TO_B: lambda r: gaussian_gain_boundary(r)}, True),
 }
 
@@ -51,6 +51,53 @@ _SWEEP_BATCH = 16_384
 
 # Points of the pre-scan find_boundary makes over a channel's parameter bracket.
 _BOUNDARY_GRID = 64
+
+# Bisection settings for boundary finding; the Gaussian margins are smooth and
+# monotone across these boundaries.  The relative tolerance is scipy's default.
+BISECT_XTOL = 1e-8
+BISECT_MAXITER = 200
+_BISECT_RTOL = 4 * np.finfo(float).eps
+
+
+def bisect(margins, lo, hi, xtol: float = BISECT_XTOL) -> np.ndarray:
+    """Sign changes of a batch of margins, one per bracket [lo[i], hi[i]] (1-D).
+
+    margins(index, x) returns the margins of the elements `index` (an integer
+    array) at parameters x, as one batch.  Each element takes the steps of
+    scipy.optimize.bisect, so its result is bit-identical to scipy's; an empty
+    bracket (lo == hi) returns hi unevaluated.  Raises ValueError on ends of
+    the same sign or a NaN margin, RuntimeError after BISECT_MAXITER halvings.
+    """
+    xa, xb = np.array(np.broadcast_arrays(lo, hi), dtype=float)
+    root, todo = xb.copy(), np.flatnonzero(xa != xb)
+
+    def f(index, x):
+        fx = np.asarray(margins(index, x) if index.size else (), dtype=float)
+        if np.isnan(fx).any():
+            raise ValueError(f"margin is NaN at {x[np.isnan(fx)][0]}")
+        return fx
+
+    fa, fb = np.split(f(np.tile(todo, 2), np.concatenate([xa[todo], xb[todo]])), 2)
+    same = todo[fa * fb > 0]
+    if same.size:
+        raise ValueError(f"margin has the same sign at both ends of [{xa[same[0]]}, {xb[same[0]]}]")
+    root[todo[fa == 0]] = xa[todo[fa == 0]]
+    live = (fa != 0) & (fb != 0)
+    todo, fa = todo[live], fa[live]
+    xa, dm = xa[todo], xb[todo] - xa[todo]
+    for _ in range(BISECT_MAXITER):
+        if not todo.size:
+            return root
+        dm = dm * 0.5
+        xm = xa + dm
+        fm = f(todo, xm)
+        xa = np.where(fm * fa >= 0, xm, xa)
+        done = (fm == 0) | (np.abs(dm) < xtol + _BISECT_RTOL * np.abs(xm))
+        root[todo[done]] = xm[done]
+        todo, xa, fa, dm = todo[~done], xa[~done], fa[~done], dm[~done]
+    if todo.size:
+        raise RuntimeError(f"bisection did not converge in {BISECT_MAXITER} steps, value is {xa[0]}")
+    return root
 
 
 def _channel(name: str) -> Channel:

@@ -15,7 +15,7 @@ from cvsteer import (
     gaussian_steerable,
     tmsv_covariance,
 )
-from cvsteer.gaussian_criterion import BISECT_MAXITER, bisect
+from cvsteer.scan import BISECT_MAXITER, bisect, find_boundary
 
 GAIN_BOUNDARIES = {0.2: 1.0389570170338835, 0.5: 1.2135522670340726, 1.0: 1.580025658385974}
 
@@ -145,10 +145,17 @@ def test_squeezing_beyond_the_limit_is_rejected():
 
 def test_boundaries_reject_nonpositive_squeezing():
     for r in (0.0, -0.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^squeezing parameter must be > 0, got {r}$"):
             gaussian_loss_boundary(r)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^squeezing parameter must be > 0, got {r}$"):
             gaussian_gain_boundary(r)
+
+
+@pytest.mark.parametrize("r", [np.nan, 5.5])
+@pytest.mark.parametrize("boundary", [gaussian_loss_boundary, gaussian_gain_boundary])
+def test_boundaries_reject_squeezing_outside_the_domain(boundary, r):
+    with pytest.raises(ValueError, match=rf"^squeezing parameter must lie in \[0, 5\], got {r}$"):
+        boundary(r)
 
 
 def test_margin_continuity_in_parameters():
@@ -162,26 +169,19 @@ def test_margin_continuity_in_parameters():
     assert np.abs(np.diff(margins)).max() < 0.1
 
 
-# (r, gaussian_loss_boundary(r), gaussian_gain_boundary(r)) as computed by
-# scipy.optimize.bisect per squeezing before the batched bisection replaced it.
-PINNED_BOUNDARIES = [
-    (1e-09, 1e-09, 1.0),
-    (0.05, 0.49999999254941946, 1.002495834604905),
-    (0.3, 0.49999999254941946, 1.0848630424598638),
-    (1.0, 0.49999999254941946, 1.5800256598748885),
-    (2.5, 0.5000000074505806, 1.9734077770269711),
-    (5.0, 0.5000000074505806, 1.9998184163130037),
-]
+# Squeezings from near the vacuum to MAX_SQUEEZING.
+BOUNDARY_SQUEEZINGS = [1e-09, 0.05, 0.3, 1.0, 2.5, 5.0]
 
 
-@pytest.mark.parametrize("r, loss, gain", PINNED_BOUNDARIES)
-def test_boundaries_are_pinned(r, loss, gain):
-    assert repr(gaussian_loss_boundary(r)) == repr(loss)
-    assert repr(gaussian_gain_boundary(r)) == repr(gain)
+@pytest.mark.parametrize("r", np.linspace(0.05, MAX_SQUEEZING, 12))
+def test_boundaries_meet_the_bisected_gaussian_criterion(r):
+    # find_boundary bisects the eigenvalue margin itself, independently of the closed forms.
+    assert find_boundary("loss", r, "gaussian", B_TO_A) == pytest.approx(gaussian_loss_boundary(r), abs=1e-7)
+    assert find_boundary("gain", r, "gaussian", A_TO_B) == pytest.approx(gaussian_gain_boundary(r), abs=1e-7)
 
 
 def test_batched_boundaries_equal_scalar_calls():
-    rs = [r for r, _, _ in PINNED_BOUNDARIES] + np.linspace(0.001, MAX_SQUEEZING, 37).tolist()
+    rs = BOUNDARY_SQUEEZINGS + np.linspace(0.001, MAX_SQUEEZING, 37).tolist()
     for boundary in (gaussian_gain_boundary, gaussian_loss_boundary):
         assert boundary(np.array(rs)).tolist() == [boundary(r) for r in rs]
 

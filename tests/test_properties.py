@@ -4,6 +4,7 @@ and near the vacuum against a 50-digit reference margin."""
 
 import math
 
+import mpmath
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -23,6 +24,8 @@ from cvsteer import (
     channel_covariance,
     check_physical,
     fock_density,
+    gaussian_gain_boundary,
+    gaussian_loss_boundary,
     gaussian_margin,
     swap_fock_modes,
     tloo_steerable,
@@ -56,6 +59,17 @@ def test_gaussian_margin_matches_the_closed_form(cov, direction):
     log_ratio = math.log((cov.b if direction == B_TO_A else cov.a) ** 2 / det)
     if abs(log_ratio) > 1e-9:
         assert (gaussian_margin(cov, direction) > MARGIN_TOL) == (log_ratio > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-12.0, math.log10(MAX_SQUEEZING)).map(lambda exponent: min(10.0**exponent, MAX_SQUEEZING)))
+def test_boundaries_match_the_closed_forms_to_the_last_bits(r):
+    # Loss B->A at eta = 1/2 and gain A->B at G*(r) = 2 cosh2r / (cosh2r + 1) = 1 + tanh(r)^2,
+    # log-uniform in r down to 1e-12, where cosh(2r) has long rounded to 1.
+    assert gaussian_loss_boundary(r) == 0.5
+    gain = gaussian_gain_boundary(r)
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(gain) - (1 + mpmath.tanh(r) ** 2)) <= 2 * math.ulp(gain)
 
 
 @settings(max_examples=100, deadline=None)
