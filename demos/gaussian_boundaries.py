@@ -3,7 +3,7 @@
 The lossy B->A boundary sits at transmittance 1/2 for every squeezing; the
 amplified A->B boundary follows the closed form 2*cosh(2r)/(cosh(2r) + 1).
 Each is printed beside the channel parameter where the eigenvalue criterion
-itself flips, found by bisection.
+itself flips, found by a bracketed root search.
 """
 
 from cvsteer import (
@@ -19,7 +19,7 @@ from cvsteer import (
 )
 
 print("lossy channel, steering from B to A under Gaussian measurements")
-print("  r      bisected eta*   closed form")
+print("  r      searched eta*   closed form")
 for r in (0.1, 0.3, 0.5, 1.0, 2.0):
     print(f"  {r:4.2f}   {find_boundary('loss', r, 'gaussian', B_TO_A):.8f}      {gaussian_loss_boundary(r):.8f}")
 
@@ -35,7 +35,7 @@ for eta in (0.05, 0.2, 0.9):
     print(f"    eta = {eta}: steerable = {verdict.steerable}  (margin {verdict.margin:+.4f})")
 
 print("\namplification channel, steering from A to B")
-print("  r      bisected G*     closed form")
+print("  r      searched G*     closed form")
 for r in (0.2, 0.5, 1.0):
     print(f"  {r:4.2f}   {find_boundary('gain', r, 'gaussian', A_TO_B):.8f}   {gaussian_gain_boundary(r):.8f}")
 

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "level", "direction", "criterion", "out", "format")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("boundary", help="bisect the channel parameter where a criterion flips")
+    p = sub.add_parser("boundary", help="find the channel parameter where a criterion flips")
     p.add_argument("--channel", choices=tuple(CHANNELS), required=True)
     _add_common(p, "r", "level", "direction", "out")
     p.add_argument("--criterion", choices=("gaussian", "tloo"), default="gaussian")

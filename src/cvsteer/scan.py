@@ -1,4 +1,4 @@
-"""Parameter sweeps, boundary bisection and the monogamy scenario.
+"""Parameter sweeps, boundary and squeezing-range root searches, and the monogamy scenario.
 
 Everything here composes the criterion modules over (squeezing, channel
 parameter) grids; no detection logic of its own.  Points are evaluated as one
@@ -52,24 +52,27 @@ _SWEEP_BATCH = 16_384
 # Points of the pre-scan find_boundary makes over a channel's parameter bracket.
 _BOUNDARY_GRID = 64
 
-# Bisection settings for boundary finding; the Gaussian margins are smooth and
-# monotone across these boundaries.  The relative tolerance is scipy's default.
-BISECT_XTOL = 1e-8
-BISECT_MAXITER = 200
-_BISECT_RTOL = 4 * np.finfo(float).eps
+# Root-search settings for the Gaussian and TLOO margins of find_boundary and the
+# ends and eps curve of squeezing_range.  The relative tolerance is scipy's default.
+ROOT_XTOL = 1e-8
+ROOT_MAXITER = 200
+_ROOT_RTOL = 4 * np.finfo(float).eps
 
 
-def bisect(margins, lo, hi, xtol: float = BISECT_XTOL) -> np.ndarray:
+def find_roots(margins, lo, hi, xtol: float = ROOT_XTOL) -> np.ndarray:
     """Sign changes of a batch of margins, one per bracket [lo[i], hi[i]] (1-D).
 
     margins(index, x) returns the margins of the elements `index` (an integer
-    array) at parameters x, as one batch.  Each element takes the steps of
-    scipy.optimize.bisect, so its result is bit-identical to scipy's; an empty
-    bracket (lo == hi) returns hi unevaluated.  Raises ValueError on ends of
-    the same sign or a NaN margin, RuntimeError after BISECT_MAXITER halvings.
+    array) at parameters x, as one batch.  Each step evaluates every live
+    bracket once, at Chandrupatla's inverse-quadratic point where his test
+    accepts it and at the midpoint otherwise (T. R. Chandrupatla, Adv. Eng.
+    Softw. 28, 145 (1997)), and keeps a sign change bracketed; a result lies
+    within xtol + 4 eps |x| of one.  An empty bracket (lo == hi) returns hi
+    unevaluated.  Raises ValueError on ends of the same sign or a NaN margin,
+    RuntimeError after ROOT_MAXITER steps.
     """
-    xa, xb = np.array(np.broadcast_arrays(lo, hi), dtype=float)
-    root, todo = xb.copy(), np.flatnonzero(xa != xb)
+    x1, x2 = np.array(np.broadcast_arrays(lo, hi), dtype=float)
+    root, todo = x2.copy(), np.flatnonzero(x1 != x2)
 
     def f(index, x):
         fx = np.asarray(margins(index, x) if index.size else (), dtype=float)
@@ -77,26 +80,37 @@ def bisect(margins, lo, hi, xtol: float = BISECT_XTOL) -> np.ndarray:
             raise ValueError(f"margin is NaN at {x[np.isnan(fx)][0]}")
         return fx
 
-    fa, fb = np.split(f(np.tile(todo, 2), np.concatenate([xa[todo], xb[todo]])), 2)
-    same = todo[fa * fb > 0]
+    f1, f2 = np.split(f(np.tile(todo, 2), np.concatenate([x1[todo], x2[todo]])), 2)
+    same = todo[f1 * f2 > 0]
     if same.size:
-        raise ValueError(f"margin has the same sign at both ends of [{xa[same[0]]}, {xb[same[0]]}]")
-    root[todo[fa == 0]] = xa[todo[fa == 0]]
-    live = (fa != 0) & (fb != 0)
-    todo, fa = todo[live], fa[live]
-    xa, dm = xa[todo], xb[todo] - xa[todo]
-    for _ in range(BISECT_MAXITER):
+        raise ValueError(f"margin has the same sign at both ends of [{x1[same[0]]}, {x2[same[0]]}]")
+    root[todo[f1 == 0]] = x1[todo[f1 == 0]]
+    live = (f1 != 0) & (f2 != 0)
+    todo, x1, f1, x2, f2 = todo[live], x1[todo[live]], f1[live], x2[todo[live]], f2[live]
+    t = 0.5
+    for _ in range(ROOT_MAXITER):
         if not todo.size:
             return root
-        dm = dm * 0.5
-        xm = xa + dm
-        fm = f(todo, xm)
-        xa = np.where(fm * fa >= 0, xm, xa)
-        done = (fm == 0) | (np.abs(dm) < xtol + _BISECT_RTOL * np.abs(xm))
-        root[todo[done]] = xm[done]
-        todo, xa, fa, dm = todo[~done], xa[~done], fa[~done], dm[~done]
+        # x1 is the newest point and [x1, x2] the bracket; x3 is the end it dropped.
+        x = x1 + t * (x2 - x1)
+        fx = f(todo, x)
+        kept = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(kept, x1, x2), np.where(kept, f1, f2)
+        x2, f2 = np.where(kept, x2, x1), np.where(kept, f2, f1)
+        x1, f1 = x, fx
+        best, dx = np.where(np.abs(f1) < np.abs(f2), x1, x2), np.abs(x2 - x1)
+        tol = xtol + _ROOT_RTOL * np.abs(best)
+        done = (fx == 0) | (dx < tol)
+        root[todo[done]] = best[done]
+        todo, x1, f1, x2, f2, x3, f3, dx, tol = (a[~done] for a in (todo, x1, f1, x2, f2, x3, f3, dx, tol))
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        iqi = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
+        a, b, c, alpha = f1[iqi], f2[iqi], f3[iqi], ((x3 - x1) / (x2 - x1))[iqi]
+        t = np.full(todo.size, 0.5)
+        t[iqi] = a / (a - b) * c / (c - b) - alpha * a / (c - a) * b / (b - c)
+        t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)  # a tolerance away from the bracket ends
     if todo.size:
-        raise RuntimeError(f"bisection did not converge in {BISECT_MAXITER} steps, value is {xa[0]}")
+        raise RuntimeError(f"root search did not converge in {ROOT_MAXITER} steps, value is {x1[0]}")
     return root
 
 
@@ -236,12 +250,12 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
 
 
 def find_boundary(channel: str, r: float, criterion: str, direction: str) -> float | None:
-    """Bisect the channel parameter where the criterion margin changes sign.
+    """Find the channel parameter where the criterion margin changes sign.
 
     A coarse grid over the physical parameter range is evaluated first, as one
     batch.  Returns None when the margin has the same sign at every grid point
     (no boundary) and raises ValueError naming each sign change when there is
-    more than one; a single one is bisected over the whole range.
+    more than one; a single one is searched for over the whole range.
     """
     if r <= 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got {r}")
@@ -256,7 +270,7 @@ def find_boundary(channel: str, r: float, criterion: str, direction: str) -> flo
         raise ValueError(f"{criterion} margin changes sign {flips.size} times at r={r:.9g}: between {cells}")
     if not flips.size:
         return None
-    return float(bisect(margins, [lo], [hi])[0])
+    return float(find_roots(margins, [lo], [hi])[0])
 
 
 def _margins(channel: str, criterion: str, direction: str, rs: np.ndarray):
@@ -306,7 +320,7 @@ def squeezing_range(
 
     Scans the points k * r_step <= r_max, k >= 1 (1 to MAX_GRID_POINTS of
     them; a point within rounding of r_max counts), with endpoint refinement
-    by bisection; only the TLOO criteria are meaningful here.  Raises if the
+    by find_roots; only the TLOO criteria are meaningful here.  Raises if the
     detected points are not one run, naming the first gap.
     """
     if CRITERIA.get(criterion) is None:
@@ -343,14 +357,14 @@ def squeezing_range(
     # Refine each end where detection (margin > MARGIN_TOL) flips; an empty bracket keeps the scan point.
     first, last = hits[[0, -1]]
     lo, hi = rs[[max(first - 1, 0), last]], rs[[first, min(last + 1, steps - 1)]]
-    r_low, r_high = bisect(blind, lo, hi, xtol=1e-6).tolist()
+    r_low, r_high = find_roots(blind, lo, hi, xtol=1e-6).tolist()
 
     eps_curve = None
     if spec.eps_curve:
         r_hit, boundary = rs[detected], params[detected]
         margins = _margins(channel, criterion, direction, r_hit)
         # Walk each detected r up in 0.5 steps until the margin turns non-positive
-        # inside the parameter bracket, then bisect between boundary and that point.
+        # inside the parameter bracket, then search between boundary and that point.
         top, hi = spec.bracket[1], boundary + 0.5
         walking, stuck = np.arange(r_hit.size), []
         while walking.size:
@@ -360,7 +374,7 @@ def squeezing_range(
             hi[walking] = np.minimum(hi[walking] + 0.5, top)
         if stuck:
             raise ValueError(f"{criterion} margin stays positive up to {spec.param} {top} at r={r_hit[min(stuck)]:.9g}")
-        eps_curve = tuple(zip(r_hit.tolist(), (bisect(margins, boundary, hi) - boundary).tolist()))
+        eps_curve = tuple(zip(r_hit.tolist(), (find_roots(margins, boundary, hi) - boundary).tolist()))
 
     return SqueezingRange(channel, criterion, direction, True, r_low, r_high, eps_curve)
 

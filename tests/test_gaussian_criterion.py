@@ -15,7 +15,8 @@ from cvsteer import (
     gaussian_steerable,
     tmsv_covariance,
 )
-from cvsteer.scan import BISECT_MAXITER, bisect, find_boundary
+from cvsteer import scan
+from cvsteer.scan import find_boundary, find_roots
 
 GAIN_BOUNDARIES = {0.2: 1.0389570170338835, 0.5: 1.2135522670340726, 1.0: 1.580025658385974}
 
@@ -193,33 +194,48 @@ def test_bisect_skips_empty_brackets_and_finds_each_root():
         calls.append(index.tolist())
         return x - np.array([0.25, 0.5, 0.75])[index]
 
-    roots = bisect(margins, np.array([0.0, 0.3, 0.0]), np.array([1.0, 0.3, 1.0]), xtol=1e-12)
+    roots = find_roots(margins, np.array([0.0, 0.3, 0.0]), np.array([1.0, 0.3, 1.0]), xtol=1e-12)
     assert roots[1] == 0.3  # an empty bracket returns its end unevaluated
     assert roots[[0, 2]] == pytest.approx([0.25, 0.75], abs=1e-12)
     assert all(1 not in index for index in calls)
 
 
-def test_bisect_rejects_bad_brackets():
+def test_bisect_rejects_bad_brackets(monkeypatch):
     with pytest.raises(ValueError, match="same sign"):
-        bisect(lambda i, x: x, np.array([0.5]), np.array([1.0]))
+        find_roots(lambda i, x: x, np.array([0.5]), np.array([1.0]))
     with pytest.raises(ValueError, match="NaN"):
-        bisect(lambda i, x: np.where(x > 0.7, np.nan, x - 0.5), np.array([0.0]), np.array([1.0]))
+        find_roots(lambda i, x: np.where(x > 0.7, np.nan, x - 0.5), np.array([0.0]), np.array([1.0]))
+    # Interpolation lands on the exact zero of x in a few steps; one step is too few.
+    monkeypatch.setattr(scan, "ROOT_MAXITER", 1)
     with pytest.raises(RuntimeError, match="converge"):
-        bisect(lambda i, x: x, np.array([-1.0]), np.array([0.7]), xtol=1e-300)
+        find_roots(lambda i, x: x, np.array([-1.0]), np.array([0.7]), xtol=1e-300)
 
 
-@pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
-def test_bisect_takes_scipys_steps(xtol):
-    optimize = pytest.importorskip("scipy.optimize")
+def seeded_cubics():
+    """200 brackets around the triple roots of scale * (x - root)^3, which give interpolation nothing to use."""
     rng = np.random.default_rng(7)
     roots, scale = rng.uniform(-3.0, 3.0, 200), rng.choice([-2.0, 0.5, 3.0], 200)
     lo, hi = roots - rng.uniform(0.0, 4.0, 200), roots + rng.uniform(0.0, 4.0, 200)
+    return roots, scale, lo, hi
 
-    def margins(index, x):
-        return scale[index] * (x - roots[index]) ** 3
 
-    expected = [
-        optimize.bisect(lambda x: margins(k, x), lo[k], hi[k], xtol=xtol, maxiter=BISECT_MAXITER)
-        for k in range(200)
-    ]
-    assert bisect(margins, lo, hi, xtol=xtol).tolist() == expected
+def cubic(x, roots, scale):
+    return scale * (x - roots) ** 3
+
+
+@pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
+def test_find_roots_lands_within_xtol_of_each_root(xtol):
+    roots, scale, lo, hi = seeded_cubics()
+    found = find_roots(lambda i, x: cubic(x, roots[i], scale[i]), lo, hi, xtol=xtol)
+    assert (np.abs(found - roots) <= xtol + 4 * np.finfo(float).eps * np.abs(roots)).all()
+
+
+@pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
+def test_find_roots_agrees_with_scipy(xtol):
+    elementwise = pytest.importorskip("scipy.optimize.elementwise")
+    roots, scale, lo, hi = seeded_cubics()
+    theirs = elementwise.find_root(cubic, (lo, hi), args=(roots, scale), tolerances={"xatol": xtol, "fatol": 0.0})
+    assert theirs.success.all()
+    found = find_roots(lambda i, x: cubic(x, roots[i], scale[i]), lo, hi, xtol=xtol)
+    # Both lie within xtol + 4 eps |root| of the root.
+    assert (np.abs(found - theirs.x) <= 2 * (xtol + 4 * np.finfo(float).eps * np.abs(roots))).all()

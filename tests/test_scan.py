@@ -254,19 +254,21 @@ def test_boundary_tloo_below_half():
     assert not evaluate_point("loss", 0.4, eta_star - 1e-3, "tloo-n2", B_TO_A).steerable
 
 
-# (r, loss tloo-n2 B->A, gain gaussian A->B) boundaries as computed by
-# scipy.optimize.bisect on per-point margins before the batched bisection.
+# (r, loss tloo-n2 B->A, gain gaussian A->B) boundaries as find_boundary returns them.
+# Each lies within 1e-8 of the 50-digit root of its margin, except the loss one at
+# r = 1e-9, 1.6e-7 away: there the margin is of order 1e-16 and the float one is
+# off by about 2e-16.
 PINNED_FIND_BOUNDARY = [
-    (1e-09, 0.49999983689898997, None),
-    (0.05, 0.469159858288087, 1.002495842055486),
-    (0.3, 0.4011129094760493, 1.0848630350092945),
-    (1.0, 0.5377304333808496, 1.5800256598749656),
-    (2.5, 0.6876785823636726, 1.9734077658512303),
-    (5.0, 0.6956659097006247, 1.9998184163131372),
+    (1e-09, 0.4999998426368162, None),
+    (0.05, 0.46915986314944846, 1.0024958392228933),
+    (0.3, 0.40111290798378735, 1.0848630381741775),
+    (1.0, 0.5377304299320502, 1.580025657362646),
+    (2.5, 0.6876785868242175, 1.973407773335099),
+    (5.0, 0.6956659169762751, 1.9998184167699404),
 ]
 
 
-@pytest.mark.parametrize("r, loss, gain", PINNED_FIND_BOUNDARY)
+@pytest.mark.parametrize("r, loss, gain", PINNED_FIND_BOUNDARY, ids=[f"r={r}" for r, _, _ in PINNED_FIND_BOUNDARY])
 def test_find_boundary_is_pinned(r, loss, gain):
     assert repr(find_boundary("loss", r, "tloo-n2", B_TO_A)) == repr(loss)
     assert repr(find_boundary("gain", r, "gaussian", A_TO_B)) == repr(gain)
@@ -400,6 +402,21 @@ def test_squeezing_range_gain_edge_is_looked_up_at_call_time(monkeypatch):
     monkeypatch.setattr(scan, "gaussian_gain_boundary", counting)
     assert squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.5).detected
     assert calls
+
+
+@pytest.mark.parametrize("channel, criterion, direction, most", [("loss", "tloo-n3", B_TO_A, 8), ("gain", "tloo-n2", A_TO_B, 20)])
+def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterion, direction, most):
+    # Most of a margin batch's cost is fixed, so the batch count sets a search's cost.
+    # Halving every bracket down to its tolerance takes 17 batches for loss and 45 for gain here.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return batch_margins(*args)
+
+    monkeypatch.setattr(scan, "batch_margins", counting)
+    assert squeezing_range(channel, criterion, direction, r_step=0.0205, r_max=1.22).detected
+    assert len(calls) <= most
 
 
 def test_squeezing_range_stable_under_refinement():
