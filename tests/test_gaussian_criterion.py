@@ -231,6 +231,22 @@ def test_find_roots_lands_within_xtol_of_each_root(xtol):
 
 
 @pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
+def test_bisect_takes_scipys_steps(xtol):
+    # The halving bisection that find_roots replaced took scipy.optimize.bisect's
+    # steps bit for bit. Chandrupatla's steps differ, so on the same seeded cubics
+    # the two now meet within their tolerances.
+    optimize = pytest.importorskip("scipy.optimize")
+    roots, scale, lo, hi = seeded_cubics()
+    theirs = np.array([
+        optimize.bisect(cubic, lo[k], hi[k], args=(roots[k], scale[k]), xtol=xtol, maxiter=scan.ROOT_MAXITER)
+        for k in range(200)
+    ])
+    found = find_roots(lambda i, x: cubic(x, roots[i], scale[i]), lo, hi, xtol=xtol)
+    # Both lie within xtol + 4 eps |root| of the root.
+    assert (np.abs(found - theirs) <= 2 * (xtol + 4 * np.finfo(float).eps * np.abs(roots))).all()
+
+
+@pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
 def test_find_roots_agrees_with_scipy(xtol):
     elementwise = pytest.importorskip("scipy.optimize.elementwise")
     roots, scale, lo, hi = seeded_cubics()
