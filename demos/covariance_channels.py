@@ -18,7 +18,7 @@ from cvsteer import (
 r = 0.5
 cov = tmsv_covariance(r)
 print(f"two-mode squeezed vacuum, r = {r}")
-print(f"  (a, b, c1, c2) = ({cov.a:.7f}, {cov.b:.7f}, {cov.c1:.7f}, {cov.c2:.7f})")
+print(f"  (a, b, c) = ({cov.a:.7f}, {cov.b:.7f}, {cov.c:.7f})")
 print(f"  full matrix:\n{np.array_str(cov.matrix(), precision=7)}")
 print(f"  physical: {check_physical(cov)}")
 print(f"  min eigenvalue of gamma + i*Omega: {physicality_eigenvalue(cov):+.2e}"
@@ -26,7 +26,7 @@ print(f"  min eigenvalue of gamma + i*Omega: {physicality_eigenvalue(cov):+.2e}"
 
 print("\nloss channel on mode B, eta = 0.5")
 lossy = apply_loss(cov, 0.5, "B")
-print(f"  (a, b, c1, c2) = ({lossy.a:.7f}, {lossy.b:.7f}, {lossy.c1:.7f}, {lossy.c2:.7f})")
+print(f"  (a, b, c) = ({lossy.a:.7f}, {lossy.b:.7f}, {lossy.c:.7f})")
 print(f"  physical: {check_physical(lossy)}")
 
 print("\nloss composes multiplicatively: eta1*eta2 in one step equals two steps")
@@ -37,10 +37,9 @@ print(f"  max |difference| = {diff:.2e}")
 
 print("\namplification channel on mode B, gain = 1.2")
 amplified = apply_gain(cov, 1.2, "B")
-print(f"  (a, b, c1, c2) = ({amplified.a:.7f}, {amplified.b:.7f}, "
-      f"{amplified.c1:.7f}, {amplified.c2:.7f})")
+print(f"  (a, b, c) = ({amplified.a:.7f}, {amplified.b:.7f}, {amplified.c:.7f})")
 print(f"  physical: {check_physical(amplified)}")
 
 print("\nbelow-vacuum noise is rejected by the physicality check:")
-bad = TwoModeCovariance(0.5, 0.5, 0.0, 0.0)
+bad = TwoModeCovariance(0.5, 0.5, 0.0)
 print(f"  a = b = 0.5 -> physical: {check_physical(bad)}")

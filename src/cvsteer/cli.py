@@ -73,12 +73,12 @@ def cmd_sweep(args) -> int:
 def cmd_boundary(args) -> int:
     criterion = _criterion(args)
     boundary = find_boundary(args.channel, args.r, criterion, DIRECTION_FROM_LABEL[args.direction])
-    param_name = CHANNELS[args.channel].param
+    param_name, (lo, hi) = CHANNELS[args.channel].param, CHANNELS[args.channel].bracket
     with _output(args.out) as stream:
         if boundary is None:
             print(
                 f"no boundary: {criterion} {args.direction} margin does not change sign "
-                f"over the physical {param_name} range at r={args.r:.9g}",
+                f"over {param_name} in [{lo:g}, {hi:g}] at r={args.r:.9g}",
                 file=stream,
             )
             return EXIT_NO_BOUNDARY

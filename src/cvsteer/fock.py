@@ -2,9 +2,9 @@
 
 The matrix elements <m1 m2|rho|n1 n2> of a zero-mean Gaussian state are Taylor
 coefficients of a Gaussian generating function exp(-y^T R y) in four variables,
-up to factorial and determinant prefactors.  The kernel matrix R is an explicit
-function of the covariance matrix.  The Taylor table is filled here by the
-derivative recurrence of the generating function, which is exact term by term.
+up to factorial and determinant prefactors, both closed forms of the standard
+form (a, b, c).  The Taylor table is filled by the derivative recurrence of the
+generating function, which is exact term by term.
 
 Truncated densities are deliberately *not* renormalised: a renormalised
 truncated state is a different state and detects strictly less.  The weight
@@ -22,32 +22,23 @@ from .covariance import TwoModeCovariance, check_physical
 # derivative.  Cutoffs above MAX_ORDER + 1 are rejected.
 MAX_ORDER = 6
 
-_SQRT2 = math.sqrt(2.0)
-
-# Mode-ordering transformation between quadrature and ladder-operator bases,
-# and the index shuffles that put derivative variables in (m1, m2, n1, n2) order.
-_U = np.array([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j]]) / _SQRT2
-_B = np.eye(4)[[0, 2, 1, 3]]
-_D = np.eye(4)[[2, 0, 3, 1]]
-
 
 def hermite_kernel(cov: TwoModeCovariance) -> np.ndarray:
-    """Kernel matrix R of the Fock-element generating function exp(-y^T R y).
+    """Kernel matrix R of the Fock-element generating function exp(-y^T R y): real
+    symmetric 4x4 in (m1, m2, n1, n2) order, one per state of a batch.  With
+    d = (a + 1)(b + 1) - c^2, R[m1, m2] = R[n1, n2] = -c/d, R[m1, n1] =
+    (c^2 - (a - 1)(b + 1))/2d, R[m2, n2] = (c^2 - (b - 1)(a + 1))/2d, a - 1 and
+    b - 1 exact, and the rest is zero."""
+    c, d = cov.c, _sqrt_det_gamma_plus_identity(cov)
+    kernel = np.zeros(np.shape(d) + (4, 4))
+    kernel[..., 0, 1] = kernel[..., 1, 0] = kernel[..., 2, 3] = kernel[..., 3, 2] = -c / d
+    kernel[..., 0, 2] = kernel[..., 2, 0] = (c * c - cov.excess_a * (cov.b + 1.0)) / (2.0 * d)
+    kernel[..., 1, 3] = kernel[..., 3, 1] = (c * c - cov.excess_b * (cov.a + 1.0)) / (2.0 * d)
+    return kernel
 
-    Real symmetric 4x4 (one per state of a batch) for every physical
-    standard-form covariance; the intermediate complex algebra is asserted to
-    cancel to < 1e-12.
-    """
-    gamma = cov.matrix()
-    inner = np.linalg.inv(gamma + np.eye(4)) - 0.5 * np.eye(4)
-    kernel = _B @ _U @ inner @ _U.conj().T @ _D
-    if np.abs(kernel.imag).max(initial=0.0) >= 1e-12:
-        raise ValueError("kernel acquired an imaginary part; covariance not in standard form?")
-    kernel = kernel.real
-    transpose = np.swapaxes(kernel, -1, -2)
-    if np.abs(kernel - transpose).max(initial=0.0) >= 1e-12:
-        raise ValueError("kernel is not symmetric; covariance not in standard form?")
-    return 0.5 * (kernel + transpose)
+
+def _sqrt_det_gamma_plus_identity(cov: TwoModeCovariance):
+    return (cov.a + 1.0) * (cov.b + 1.0) - cov.c * cov.c
 
 
 def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -> np.ndarray:
@@ -148,7 +139,7 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
 
     kernel = hermite_kernel(cov)
     table = _exp_neg_quadratic(kernel, (n_a - 1, n_b - 1, n_a - 1, n_b - 1))
-    prefactor = 4.0 / np.sqrt(np.linalg.det(cov.matrix() + np.eye(4)))[..., None, None, None, None]
+    prefactor = np.asarray(4.0 / _sqrt_det_gamma_plus_identity(cov))[..., None, None, None, None]
 
     # Factorial products (exact in floats) of (m1, m2), then of (m1, m2, n1, n2).  rho = prefactor *
     # H / sqrt(m!...) with H = (-1)^total * (m!...) * coeff; coeff vanishes at odd totals, exp(-y^T R y) being even.

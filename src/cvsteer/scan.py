@@ -40,7 +40,7 @@ class Channel:
 CHANNELS = {
     # The lambdas look the boundaries up at call time, so a rebinding of the module attributes reaches them.
     "loss": Channel(apply_loss, "eta", (1e-6, 1.0), (0.05, 0.95, 120), {B_TO_A: lambda r: gaussian_loss_boundary(r)}, False),
-    "gain": Channel(apply_gain, "gain", (1 + 1e-12, 6.0), (1.0, 2.0, 120), {A_TO_B: lambda r: gaussian_gain_boundary(r)}, True),
+    "gain": Channel(apply_gain, "gain", (1.0, 6.0), (1.0, 2.0, 120), {A_TO_B: lambda r: gaussian_gain_boundary(r)}, True),
 }
 
 # Largest sweep grid or squeezing scan, and points per batch: the default 120x120
@@ -252,10 +252,10 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
 def find_boundary(channel: str, r: float, criterion: str, direction: str) -> float | None:
     """Find the channel parameter where the criterion margin changes sign.
 
-    A coarse grid over the physical parameter range is evaluated first, as one
+    A coarse grid over the channel's parameter bracket is evaluated first, as one
     batch.  Returns None when the margin has the same sign at every grid point
     (no boundary) and raises ValueError naming each sign change when there is
-    more than one; a single one is searched for over the whole range.
+    more than one; a single one is searched for over the whole bracket.
     """
     if r <= 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got {r}")

@@ -1,12 +1,13 @@
 """Shared builders for random states, and independent oracles for the channels,
-the Fock elements, the TLOO correlation matrix and the TLOO margin."""
+the Gaussian margin, the Hermite kernel, the Fock elements, the TLOO correlation
+matrix and the TLOO margin."""
 
 import math
 
 import mpmath
 import numpy as np
 
-from cvsteer import B_TO_A, MAX_ORDER, FockDensity, TlooSet, expectation_values
+from cvsteer import A_TO_B, B_TO_A, MAX_ORDER, FockDensity, TlooSet, expectation_values
 from cvsteer.fock import _exp_neg_quadratic
 
 
@@ -87,6 +88,53 @@ def gain_dilation(gamma: np.ndarray, gain: float) -> np.ndarray:
     omega = symplectic_form(3)
     assert np.allclose(s @ omega @ s.T, omega)
     return (s @ ext @ s.T)[:4, :4]
+
+
+def reference_gaussian_margin(channel: str, r: float, param: float, direction: str):
+    """Gaussian steering margin of a squeezed vacuum through the channel on B, at 50 digits.
+
+    Minus the smallest eigenvalue of the 4x4 gamma + i*Omega_A (+) 0 (B->A) or
+    0 (+) i*Omega_B (A->B), with gamma built from r and the channel parameter
+    alone: a = cosh 2r, c = sqrt(param) sinh 2r, and b = eta cosh 2r + 1 - eta
+    (loss) or G cosh 2r + G - 1 (gain).  direction None puts the symplectic
+    block on both modes and returns minus the physicality eigenvalue.
+    """
+    with mpmath.workdps(50):
+        r, x = mpmath.mpf(r), mpmath.mpf(param)
+        a, sh = mpmath.cosh(2 * r), mpmath.sinh(2 * r)
+        b = x * a + 1 - x if channel == "loss" else x * a + x - 1
+        c = mpmath.sqrt(x) * sh
+        gamma = mpmath.matrix([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+        for mode in {B_TO_A: (0,), A_TO_B: (2,), None: (0, 2)}[direction]:
+            gamma[mode, mode + 1], gamma[mode + 1, mode] = 1j, -1j
+        return -min(mpmath.eighe(gamma, eigvals_only=True))
+
+
+# Quadrature-to-ladder transformation times sqrt(2), and the index shuffles that put the
+# derivative variables of the generating function in (m1, m2, n1, n2) order.
+_LADDER = np.array([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 1, 1j], [0, 0, 1, -1j]])
+_SHUFFLES = np.eye(4)[[0, 2, 1, 3]], np.eye(4)[[2, 0, 3, 1]]
+
+
+def inverse_hermite_kernel(gamma: np.ndarray, digits: int | None = None) -> np.ndarray:
+    """Kernel R of exp(-y^T R y) from the inverse of gamma + I, for one 4x4 covariance.
+
+    The oracle for hermite_kernel's closed form: R = B L ((gamma + I)^-1 - I/2) L^dag D / 2,
+    symmetrised, with L the ladder transformation above and B, D the shuffles.  In
+    doubles, or with digits the inverse and the products are taken at that many
+    digits from the same floats.
+    """
+    (b, d), ladder = _SHUFFLES, _LADDER
+    if digits is None:
+        kernel = b @ ladder @ (np.linalg.inv(gamma + np.eye(4)) - 0.5 * np.eye(4)) @ ladder.conj().T @ d / 2
+    else:
+        with mpmath.workdps(digits):
+            b, d, ladder = (mpmath.matrix(m.tolist()) for m in (b, d, ladder))
+            inner = (mpmath.matrix(gamma.tolist()) + mpmath.eye(4)) ** -1 - mpmath.eye(4) / 2
+            product = b * ladder * inner * ladder.transpose_conj() * d / 2
+            kernel = np.array(product.tolist(), dtype=complex)
+    assert np.abs(kernel.imag).max() < 1e-12
+    return 0.5 * (kernel.real + kernel.real.T)
 
 
 def hermite_coefficient(kernel: np.ndarray, orders: tuple[int, int, int, int]) -> float:

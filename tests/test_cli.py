@@ -212,6 +212,16 @@ def test_rrange_loss(capsys):
     assert float(values["r_high"]) == pytest.approx(0.869, abs=0.015)
 
 
+@pytest.mark.parametrize(
+    "channel, r, direction, expected",
+    [("loss", r, "b-to-a", "eta=0.5\n") for r in ("1e-12", "1e-9", "3e-8")] + [("gain", "1e-7", "a-to-b", "gain=1\n")],
+)
+def test_gaussian_boundary_near_the_vacuum(capsys, channel, r, direction, expected):
+    # The Gaussian margin is O(r^2) here; it keeps its sign, so the boundary is one crossing.
+    assert run_cli("boundary", "--channel", channel, "--r", r, "--criterion", "gaussian", "--direction", direction) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_rrange_stops_at_r_max(capsys):
     # 5 / 0.3 rounds to 17 points, the last at r = 5.1, outside the squeezing domain.
     code = run_cli("rrange", "--channel", "loss", "--level", "2", "--r-step", "0.3", "--r-max", "5")
@@ -222,8 +232,10 @@ def test_rrange_stops_at_r_max(capsys):
 def golden(name: str, code: int = 0):
     """Exit code and stdout of a subcommand, captured at the commit before the
     CLI was reduced to a thin edge over the library tables; rrange_gain_eps_csv
-    was captured again when the root search changed, each value checked against
-    its 50-digit reference."""
+    was captured again when the root search changed, and monogamy_json,
+    fock_dump_* and sweep_gain_3x3_json when the 2x2 closed forms replaced the
+    4x4 eigensolve, inverse and determinant, each value checked against its
+    50-digit reference."""
     return code, (DATA / "cli" / f"{name}.txt").read_text(encoding="utf-8")
 
 
@@ -263,8 +275,7 @@ def golden(name: str, code: int = 0):
         pytest.param(
             ("boundary", "--channel", "gain", "--r", "0.5", "--criterion", "gaussian",
              "--direction", "b-to-a"),
-            (3, "no boundary: gaussian b-to-a margin does not change sign over the physical "
-                "gain range at r=0.5\n"),
+            (3, "no boundary: gaussian b-to-a margin does not change sign over gain in [1, 6] at r=0.5\n"),
             id="boundary-gain-gaussian-b-to-a",
         ),
         pytest.param(

@@ -24,11 +24,12 @@ def test_symplectic_form_properties():
 
 
 def test_matrix_layout():
-    cov = TwoModeCovariance(2.0, 3.0, 0.5, 0.25)
+    cov = TwoModeCovariance(2.0, 3.0, 0.5)
     gamma = cov.matrix()
     np.testing.assert_allclose(np.diag(gamma), [2.0, 2.0, 3.0, 3.0])
     assert gamma[0, 2] == 0.5
-    assert gamma[1, 3] == -0.25
+    assert gamma[1, 3] == -0.5
+    assert np.count_nonzero(gamma) == 8
     np.testing.assert_allclose(gamma, gamma.T)
 
 
@@ -41,8 +42,7 @@ def test_tmsv_values():
     cov = tmsv_covariance(0.5)
     assert cov.a == pytest.approx(COSH1, abs=1e-12)
     assert cov.b == pytest.approx(COSH1, abs=1e-12)
-    assert cov.c1 == pytest.approx(SINH1, abs=1e-12)
-    assert cov.c2 == pytest.approx(SINH1, abs=1e-12)
+    assert cov.c == pytest.approx(SINH1, abs=1e-12)
 
 
 def test_tmsv_rejects_negative_squeezing():
@@ -79,8 +79,7 @@ def test_loss_values():
     out = apply_loss(tmsv_covariance(0.5), 0.5, "B")
     assert out.a == pytest.approx(COSH1, abs=1e-12)
     assert out.b == pytest.approx(1.2715403174076219, abs=1e-12)
-    assert out.c1 == pytest.approx(0.830992733284057, abs=1e-12)
-    assert out.c2 == pytest.approx(0.830992733284057, abs=1e-12)
+    assert out.c == pytest.approx(0.830992733284057, abs=1e-12)
 
 
 def test_loss_on_mode_a():
@@ -120,10 +119,10 @@ def test_gain_identity_channel():
 def test_gain_values():
     out = apply_gain(tmsv_covariance(0.5), 1.2, "B")
     assert out.b == pytest.approx(2.0516967617782926, abs=1e-12)
-    assert out.c1 == pytest.approx(1.2873684067314137, abs=1e-12)
+    assert out.c == pytest.approx(1.2873684067314137, abs=1e-12)
     assert out.a == pytest.approx(COSH1, abs=1e-12)
     mirrored = apply_gain(tmsv_covariance(0.5), 1.2, "A")
-    assert (mirrored.a, mirrored.b, mirrored.c1) == (out.b, out.a, out.c1)
+    assert (mirrored.a, mirrored.b, mirrored.c) == (out.b, out.a, out.c)
 
 
 def test_gain_rejects_below_unity():
@@ -166,23 +165,12 @@ def test_channel_outputs_physical():
             assert check_physical(apply_gain(cov, gain, "B"))
 
 
-def test_check_physical_vacuum_true():
-    assert check_physical(np.eye(4))
-
-
 def test_check_physical_below_vacuum_false():
-    assert not check_physical(TwoModeCovariance(0.5, 0.5, 0.0, 0.0))
-
-
-def test_check_physical_rejects_nonsymmetric():
-    bad = np.eye(4)
-    bad[0, 1] = 0.3
-    with pytest.raises(ValueError):
-        check_physical(bad)
+    assert not check_physical(TwoModeCovariance(0.5, 0.5, 0.0))
 
 
 def test_channels_reject_unphysical_input():
-    bad = TwoModeCovariance(0.5, 0.5, 0.0, 0.0)
+    bad = TwoModeCovariance(0.5, 0.5, 0.0)
     with pytest.raises(ValueError):
         apply_loss(bad, 0.5)
     with pytest.raises(ValueError):
@@ -213,9 +201,12 @@ def test_excess_noise_is_carried_exactly():
     assert amplified.mean_photons_a == amplified.excess_a / 2.0
     swapped = amplified.swap_modes()
     assert (swapped.excess_a, swapped.excess_b) == (amplified.excess_b, amplified.excess_a)
-    # Four-field constructions default to a - 1 and b - 1.
-    plain = TwoModeCovariance(2.0, 3.0, 0.5, 0.25)
+    # Three-field constructions default to a - 1 and b - 1; the excess noises are keyword-only,
+    # so a stale call with two couplings fails instead of binding the second one as excess_a.
+    plain = TwoModeCovariance(2.0, 3.0, 0.5)
     assert (plain.excess_a, plain.excess_b) == (1.0, 2.0)
+    with pytest.raises(TypeError):
+        TwoModeCovariance(2.0, 3.0, 0.5, 0.25)
 
 
 def test_batched_excess_noise_matches_each_state():

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hermite_coefficient, kraus_tmsv_elements, lossy_tmsv_element, thermal_marginal
+from conftest import (
+    hermite_coefficient,
+    inverse_hermite_kernel,
+    kraus_tmsv_elements,
+    lossy_tmsv_element,
+    thermal_marginal,
+)
 from cvsteer import (
     FockDensity,
     apply_gain,
@@ -76,11 +82,24 @@ def test_kernel_matches_closed_form():
         apply_loss(tmsv_covariance(0.5), 0.5, "B"),
         apply_loss(tmsv_covariance(1.1), 0.2, "B"),
         apply_gain(tmsv_covariance(0.6), 1.2, "B"),
-        TwoModeCovariance(1.8, 1.4, 0.6, 0.3),  # c1 != c2 exercises every entry
+        TwoModeCovariance(1.8, 1.4, 0.6),
     ]
     for cov in cases:
-        expected = kernel_closed_form(cov.a, cov.b, cov.c1, cov.c2)
+        expected = kernel_closed_form(cov.a, cov.b, cov.c, cov.c)
         np.testing.assert_allclose(hermite_kernel(cov), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("channel, params", [("loss", (1e-6, 0.05, 0.5, 1.0)), ("gain", (1.0, 1.7, 10.0))])
+def test_kernel_matches_the_inverse(channel, params):
+    # The closed form against the inverse of gamma + I, in doubles and at 50 digits from the
+    # same float (a, b, c); beyond r = 1.4 the kernel's conditioning in those floats grows
+    # as c^2 / ((a + 1)(b + 1) - c^2), about 1e4 at r = 5.
+    for r in (1e-9, 0.05, 0.3, 0.8, 1.4, 2.5, 3.7, 5.0):
+        batch = channel_covariance(channel, np.full(len(params), r), np.array(params))
+        bound = 1e-15 if r <= 1.4 else 2e-12
+        for param, gamma, kernel in zip(params, batch.matrix(), hermite_kernel(batch)):
+            assert np.abs(kernel - inverse_hermite_kernel(gamma, digits=50)).max() <= bound, (r, param)
+            assert np.abs(kernel - inverse_hermite_kernel(gamma)).max() <= bound, (r, param)
 
 
 def test_kernel_tmsv_structure():
@@ -155,10 +174,16 @@ def test_hermite_against_sympy():
 
 
 def test_taylor_table_against_sympy_at_mixed_degrees():
-    # A kernel with c1 != c2 (every entry nonzero) and a different degree on every axis.
+    # A symmetric kernel with every entry nonzero (no covariance in scope has one, so the
+    # general recurrence is checked on its own) and a different degree on every axis.
     import sympy as sp
 
-    kernel = hermite_kernel(TwoModeCovariance(1.8, 1.4, 0.6, 0.3))
+    kernel = np.array([
+        [0.125, -0.375, 0.25, 0.0625],
+        [-0.375, -0.1875, 0.5, -0.25],
+        [0.25, 0.5, 0.3125, -0.125],
+        [0.0625, -0.25, -0.125, 0.4375],
+    ])
     degrees = (3, 1, 2, 2)
     y = sp.symbols("y1:5")
     quad = sum(sp.Rational(float(kernel[i, j])) * y[i] * y[j] for i in range(4) for j in range(4))
@@ -242,10 +267,10 @@ def test_batched_density_matches_each_state():
         tmsv_covariance(0.6),
         apply_loss(tmsv_covariance(0.9), 0.3, "B"),
         apply_gain(tmsv_covariance(0.4), 1.7, "B"),
-        TwoModeCovariance(1.8, 1.3, 0.7, 0.2),
+        TwoModeCovariance(1.8, 1.3, 0.7),
     ]
     fields = [f.name for f in dataclasses.fields(TwoModeCovariance)]
-    batch = TwoModeCovariance(*(np.array([getattr(c, f) for c in states]) for f in fields))
+    batch = TwoModeCovariance(**{f: np.array([getattr(c, f) for c in states]) for f in fields})
     for n_a, n_b in ((1, 1), (2, 3), (4, 4), (7, 7)):
         rho = fock_density(batch, n_a, n_b)
         assert rho.elements.shape == (len(states), n_a, n_b, n_a, n_b)
@@ -269,7 +294,7 @@ def test_top_cutoff_density_matches_the_kraus_closed_form(channel, params):
 
 
 def test_batched_density_rejects_one_unphysical_state():
-    batch = TwoModeCovariance(np.array([1.0, 0.5]), np.array([1.0, 0.5]), np.zeros(2), np.zeros(2))
+    batch = TwoModeCovariance(np.array([1.0, 0.5]), np.array([1.0, 0.5]), np.zeros(2))
     with pytest.raises(ValueError, match="uncertainty relation"):
         fock_density(batch, 2, 2)
 
@@ -318,7 +343,7 @@ def test_density_guards():
     with pytest.raises(ValueError):
         fock_density(cov, 8, 2)
     with pytest.raises(ValueError):
-        fock_density(TwoModeCovariance(0.5, 0.5, 0.0, 0.0), 2, 2)
+        fock_density(TwoModeCovariance(0.5, 0.5, 0.0), 2, 2)
 
 
 def test_from_elements_partial_traces():

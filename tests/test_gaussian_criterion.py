@@ -24,11 +24,10 @@ GAIN_BOUNDARIES = {0.2: 1.0389570170338835, 0.5: 1.2135522670340726, 1.0: 1.5800
 def schur_margin(cov: TwoModeCovariance, direction: str) -> float:
     """Independent sign oracle via the Schur complement of the tested block.
 
-    For c1 = c2 = c the B->A test reduces to a - c^2/b >= 1 (non-steerable),
+    With one coupling c the B->A test reduces to a - c^2/b >= 1 (non-steerable),
     and symmetrically for A->B.
     """
-    assert cov.c1 == pytest.approx(cov.c2)
-    c = cov.c1
+    c = cov.c
     if direction == B_TO_A:
         return 1.0 - (cov.a - c**2 / cov.b)
     return 1.0 - (cov.b - c**2 / cov.a)
@@ -50,7 +49,7 @@ def test_vacuum_not_steerable():
 
 def test_rejects_unphysical():
     with pytest.raises(ValueError):
-        gaussian_steerable(TwoModeCovariance(0.5, 0.5, 0.0, 0.0), B_TO_A)
+        gaussian_steerable(TwoModeCovariance(0.5, 0.5, 0.0), B_TO_A)
 
 
 def assert_same_sign(cov, direction):
@@ -138,7 +137,7 @@ def test_margin_vanishes_on_exact_boundaries_up_to_the_squeezing_limit():
 
 
 def test_squeezing_beyond_the_limit_is_rejected():
-    # At r = 7.75 the boundary margin would read 2.4e-10 > MARGIN_TOL: a
+    # At r = 7.75 the boundary margin would read 1.2e-10 > MARGIN_TOL: a
     # non-conservative "steerable".  Such states are never built.
     with pytest.raises(ValueError, match="squeezing"):
         gaussian_steerable(apply_loss(tmsv_covariance(7.75), 0.5, "B"), B_TO_A)

@@ -5,13 +5,14 @@ and near the vacuum against a 50-digit reference margin."""
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_margin
+from conftest import reference_gaussian_margin, reference_margin
 from cvsteer import (
     A_TO_B,
     B_TO_A,
@@ -27,6 +28,7 @@ from cvsteer import (
     gaussian_gain_boundary,
     gaussian_loss_boundary,
     gaussian_margin,
+    physicality_eigenvalue,
     swap_fock_modes,
     tloo_steerable,
     tmsv_covariance,
@@ -54,15 +56,53 @@ def test_channel_outputs_stay_physical(cov):
 def test_gaussian_margin_matches_the_closed_form(cov, direction):
     # Kogias, Lee, Ragy & Adesso, PRL 114, 060403 (2015): B->A is steerable by
     # Gaussian measurements iff det gamma_B > det gamma, A->B iff det gamma_A > det gamma.
-    # The standard form gives det gamma = (ab - c1^2)(ab - c2^2), det gamma_A = a^2 and det gamma_B = b^2.
-    det = (cov.a * cov.b - cov.c1**2) * (cov.a * cov.b - cov.c2**2)
+    # The standard form gives det gamma = (ab - c^2)^2, det gamma_A = a^2 and det gamma_B = b^2.
+    det = (cov.a * cov.b - cov.c**2) ** 2
     log_ratio = math.log((cov.b if direction == B_TO_A else cov.a) ** 2 / det)
     if abs(log_ratio) > 1e-9:
         assert (gaussian_margin(cov, direction) > MARGIN_TOL) == (log_ratio > 0)
 
 
+EPS = np.finfo(float).eps
+LOG_UNIFORM_SQUEEZING = st.floats(-12.0, math.log10(MAX_SQUEEZING)).map(lambda e: min(10.0**e, MAX_SQUEEZING))
+
+
+def cancelled_terms(p, q, c):
+    """Size of the terms whose difference pq - c^2 gives the smaller eigenvalue
+    2(pq - c^2) / (p + q + hypot(p - q, 2c)) of [[p, c], [c, q]]: its rounding
+    error is a few eps times this, however small the difference."""
+    return 2.0 * (abs(p * q) + c * c) / (p + q + math.hypot(p - q, 2.0 * c))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.floats(-12.0, math.log10(MAX_SQUEEZING)).map(lambda exponent: min(10.0**exponent, MAX_SQUEEZING)))
+@given(
+    LOG_UNIFORM_SQUEEZING,
+    st.sampled_from([("loss", 0.0, 1.0), ("gain", 1.0, MAX_GAIN)]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([B_TO_A, A_TO_B]),
+)
+def test_gaussian_margin_matches_the_50_digit_eigensolve(r, channel, u, direction):
+    # Every r down to 1e-12, where the margin is O(r^2) and cosh(2r) has long rounded to 1.
+    # For r <= 1e-3 the error is relative: to the margin, and to the terms its 2x2
+    # determinant cancels, which is all that is left at the boundary itself (eta = 1/2).
+    channel, lo, hi = channel
+    param = max(lo + (hi - lo) * u, 1e-6)
+    cov = channel_covariance(channel, r, param)
+    tested = (cov.excess_a, cov.b) if direction == B_TO_A else (cov.a, cov.excess_b)
+    physicality = [(cov.excess_a, cov.b + 1.0), (cov.a + 1.0, cov.excess_b)]
+    # The physicality eigenvalue is minus the margin with the symplectic block on both modes.
+    for computed, side, blocks in ((gaussian_margin(cov, direction), direction, [tested]),
+                                   (-physicality_eigenvalue(cov), None, physicality)):
+        reference = float(reference_gaussian_margin(channel, r, param, side))
+        error = abs(computed - reference)
+        assert error <= 1e-11
+        if r <= 1e-3:
+            terms = max(cancelled_terms(p, q, cov.c) for p, q in blocks)
+            assert error <= 1e-12 * abs(reference) + 8 * EPS * terms, (computed, reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LOG_UNIFORM_SQUEEZING)
 def test_boundaries_match_the_closed_forms_to_the_last_bits(r):
     # Loss B->A at eta = 1/2 and gain A->B at G*(r) = 2 cosh2r / (cosh2r + 1) = 1 + tanh(r)^2,
     # log-uniform in r down to 1e-12, where cosh(2r) has long rounded to 1.

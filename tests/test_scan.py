@@ -2,6 +2,7 @@ import csv
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -255,16 +256,15 @@ def test_boundary_tloo_below_half():
 
 
 # (r, loss tloo-n2 B->A, gain gaussian A->B) boundaries as find_boundary returns them.
-# Each lies within 1e-8 of the 50-digit root of its margin, except the loss one at
-# r = 1e-9, 1.6e-7 away: there the margin is of order 1e-16 and the float one is
-# off by about 2e-16.
+# Each lies within 2e-10 of the 50-digit root of its margin, except the gain one at
+# r = 1.0, 1.0e-9 away; near the vacuum the gain boundary 1 + tanh(r)^2 rounds to 1.
 PINNED_FIND_BOUNDARY = [
-    (1e-09, 0.4999998426368162, None),
-    (0.05, 0.46915986314944846, 1.0024958392228933),
-    (0.3, 0.40111290798378735, 1.0848630381741775),
-    (1.0, 0.5377304299320502, 1.580025657362646),
-    (2.5, 0.6876785868242175, 1.973407773335099),
-    (5.0, 0.6956659169762751, 1.9998184167699404),
+    (1e-09, 0.49999999920943106, 1.0),
+    (0.05, 0.4691598631494482, 1.0024958392228933),
+    (0.3, 0.4011129079837865, 1.0848630381741777),
+    (1.0, 0.53773042993205, 1.5800256573626439),
+    (2.5, 0.6876785868242171, 1.9734077733350484),
+    (5.0, 0.6956659169750057, 1.9998184167768647),
 ]
 
 
@@ -272,8 +272,11 @@ PINNED_FIND_BOUNDARY = [
 def test_find_boundary_is_pinned(r, loss, gain):
     assert repr(find_boundary("loss", r, "tloo-n2", B_TO_A)) == repr(loss)
     assert repr(find_boundary("gain", r, "gaussian", A_TO_B)) == repr(gain)
-    # The 50-digit margin changes sign within 1e-6 of the pinned loss boundary.
-    assert reference_margin("loss", r, loss - 1e-6, 2, B_TO_A) < 0 < reference_margin("loss", r, loss + 1e-6, 2, B_TO_A)
+    # The 50-digit margin changes sign within ROOT_XTOL of the pinned loss boundary, and the
+    # pinned gain boundary lies within it of the closed form.
+    step = scan.ROOT_XTOL
+    assert reference_margin("loss", r, loss - step, 2, B_TO_A) < 0 < reference_margin("loss", r, loss + step, 2, B_TO_A)
+    assert abs(gain - (1 + mpmath.tanh(r) ** 2)) <= step
 
 
 def two_crossings(channel, rs, params, criteria):
@@ -293,6 +296,15 @@ def test_find_boundary_reports_every_crossing(monkeypatch):
     monkeypatch.setattr(scan, "batch_margins", three_crossings)
     with pytest.raises(ValueError, match="changes sign 3 times"):
         find_boundary("gain", 0.5, "gaussian", A_TO_B)
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-6, 1e-7, 1e-12])
+def test_gain_boundary_is_found_near_the_vacuum(r):
+    # G*(r) = 1 + tanh(r)^2 lies below 1 + 1e-12, where the gain bracket used to start,
+    # for r <~ 1e-6, and rounds to 1 for r <~ 1e-8.
+    gain = find_boundary("gain", r, "gaussian", A_TO_B)
+    assert abs(gain - (1 + mpmath.tanh(r) ** 2)) <= scan.ROOT_XTOL
+    assert gain == 1.0 or r > 1e-6
 
 
 def test_boundary_absent():
