@@ -3,14 +3,15 @@
 The matrix elements <m1 m2|rho|n1 n2> of a zero-mean Gaussian state are Taylor
 coefficients of a Gaussian generating function exp(-y^T R y) in four variables,
 up to factorial and determinant prefactors, both closed forms of the standard
-form (a, b, c).  The Taylor table is filled by the derivative recurrence of the
-generating function, which is exact term by term.
+form (a, b, c).  R has three couplings, so a Taylor coefficient is a sum of at
+most min(m2, n2) + 1 monomials on the sector m1 - m2 = n1 - n2, zero off it.
 
 Truncated densities are deliberately *not* renormalised: a renormalised
 truncated state is a different state and detects strictly less.  The weight
 terms in the steering criteria account for the leakage outside the cutoff.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from .covariance import TwoModeCovariance, check_physical
 
-# Desk-scale guard on Fock indices: per-index order of the generating-function
-# derivative.  Cutoffs above MAX_ORDER + 1 are rejected.
+# Largest Fock index taken from outside (fock-dump --cutoffs, fock_density): a dense table
+# is (n_a n_b)^2 floats per state, and cutoffs <= 7 are checked against the Kraus sum.
 MAX_ORDER = 6
 
 
@@ -41,30 +42,30 @@ def _sqrt_det_gamma_plus_identity(cov: TwoModeCovariance):
     return (cov.a + 1.0) * (cov.b + 1.0) - cov.c * cov.c
 
 
+@functools.cache
+def _sector_plan(shape: tuple[int, int, int, int]):
+    """Sector cells of a table of this shape, the offset of each one's first term, and every term's orders."""
+    cells, orders = zip(*[(cell, (m2 - d, n2 - d, m1 - m2 + d, d)) for cell, (m1, m2, n1, n2) in enumerate(np.ndindex(shape))
+                          if m1 - m2 == n1 - n2 for d in range(max(0, m2 - m1), min(m2, n2) + 1)])
+    cells, starts = np.unique(cells, return_index=True)
+    return np.unravel_index(cells, shape), starts, np.array(orders).T
+
+
 def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -> np.ndarray:
     """Taylor table of exp(-y^T R y) truncated at the given per-variable degrees.
 
-    Entry [..., p1, p2, p3, p4] is the coefficient c[p] of y1^p1 y2^p2 y3^p3 y4^p4,
-    with the batch axes of the kernel in front.  Differentiating the function
-    gives (p_i + 1) c[p + e_i] = -2 sum_j R_ij c[p - e_j] (Miatto & Quesada,
-    Quantum 4, 366 (2020)).  Axis i is filled last to first, a slice at a time:
-    the earlier axes are held at 0, so only the terms j >= i are nonzero, and
-    the later axes are already complete.  The arithmetic is elementwise, so
-    each state's table is bit-identical to the one it gets on its own.
+    Entry [..., p1, p2, p3, p4] is the coefficient c[p] of y1^p1 y2^p2 y3^p3 y4^p4, the kernel's batch axes in front.
+    A hermite_kernel R couples only through u = -2 R[0, 1] = -2 R[2, 3], v = -2 R[0, 2] and x = -2 R[1, 3], so the
+    terms (y1 y2)^(m2 - d) (y3 y4)^(n2 - d) (y1 y3)^(j + d) (y2 y4)^d of exp(u (y1 y2 + y3 y4) + v y1 y3 + x y2 y4)
+    all have j = m1 - m2 = n1 - n2: c = 0 off that sector, and on it c sums u^(m2 + n2 - 2d) v^(j + d) x^d / ((m2 - d)!
+    (n2 - d)! (j + d)! d!) over max(0, -j) <= d <= min(m2, n2), at most min(m2, n2) + 1 terms, elementwise per state.
     """
-    batch = kernel.shape[:-2]
-    table = np.zeros(batch + tuple(d + 1 for d in degrees))
-    table[..., 0, 0, 0, 0] = 1.0
-    for i in reversed(range(4)):
-        head, rest = (...,) + (0,) * i, (slice(None),) * (3 - i)  # earlier axes at 0, later axes whole
-        weight = [kernel[..., i, j][(...,) + (None,) * (3 - i)] for j in range(4)]
-        for k in range(degrees[i]):
-            current = table[head + (k,) + rest]
-            step = weight[i] * table[head + (k - 1,) + rest] if k else np.zeros_like(current)
-            for j in range(i + 1, 4):  # c[p - e_j] is zero where p_j = 0
-                tail = (slice(None),) * (3 - j)
-                step[(..., slice(1, None)) + tail] += weight[j] * current[(..., slice(None, -1)) + tail]
-            table[head + (k + 1,) + rest] = step * (-2.0 / (k + 1))
+    shape, k = tuple(d + 1 for d in degrees), np.arange(max(degrees) + 1)
+    u, v, x = ((-2.0 * kernel[..., i, j, None]) ** k / [math.factorial(n) for n in k] for i, j in ((0, 1), (0, 2), (1, 3)))
+    cells, starts, orders = _sector_plan(shape)
+    terms = u[..., orders[0]] * u[..., orders[1]] * v[..., orders[2]] * x[..., orders[3]]  # u, v, x hold w^n / n!
+    table = np.zeros(kernel.shape[:-2] + shape)
+    table[(...,) + cells] = np.add.reduceat(terms, starts, axis=-1)
     return table
 
 
@@ -127,8 +128,8 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     each state of a batch.
 
     One Taylor table of the generating function yields every element with
-    indices below the cutoffs.  Raises if a cutoff exceeds the order
-    guard or a covariance is unphysical.
+    indices below the cutoffs.  Raises if a cutoff lies outside 1..MAX_ORDER + 1
+    (see MAX_ORDER) or a covariance is unphysical.
     """
     if n_a < 1 or n_b < 1:
         raise ValueError(f"cutoffs must be >= 1, got ({n_a}, {n_b})")
@@ -137,8 +138,7 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     if not check_physical(cov):
         raise ValueError("covariance matrix violates the uncertainty relation")
 
-    kernel = hermite_kernel(cov)
-    table = _exp_neg_quadratic(kernel, (n_a - 1, n_b - 1, n_a - 1, n_b - 1))
+    table = _exp_neg_quadratic(hermite_kernel(cov), (n_a - 1, n_b - 1, n_a - 1, n_b - 1))
     prefactor = np.asarray(4.0 / _sqrt_det_gamma_plus_identity(cov))[..., None, None, None, None]
 
     # Factorial products (exact in floats) of (m1, m2), then of (m1, m2, n1, n2).  rho = prefactor *

@@ -1,6 +1,6 @@
 """Shared builders for random states, and independent oracles for the channels,
-the Gaussian margin, the Hermite kernel, the Fock elements, the TLOO correlation
-matrix and the TLOO margin."""
+the Gaussian margin, the Hermite kernel, the Taylor table, the Fock elements, the
+TLOO correlation matrix and the TLOO margin."""
 
 import math
 
@@ -8,7 +8,6 @@ import mpmath
 import numpy as np
 
 from cvsteer import A_TO_B, B_TO_A, MAX_ORDER, FockDensity, TlooSet, expectation_values
-from cvsteer.fock import _exp_neg_quadratic
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -137,17 +136,44 @@ def inverse_hermite_kernel(gamma: np.ndarray, digits: int | None = None) -> np.n
     return 0.5 * (kernel.real + kernel.real.T)
 
 
+def reference_taylor_table(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -> np.ndarray:
+    """Taylor table of exp(-y^T R y) for any real symmetric 4x4 kernel R, truncated at
+    the given per-variable degrees, by the derivative recurrence of the function.
+
+    The general-kernel oracle for fock._exp_neg_quadratic, which relies on the
+    couplings of hermite_kernel alone.  Differentiating the function gives
+    (p_i + 1) c[p + e_i] = -2 sum_j R_ij c[p - e_j] (Miatto & Quesada, Quantum 4,
+    366 (2020)).  Axis i is filled last to first, a slice at a time: the earlier
+    axes are held at 0, so only the terms j >= i are nonzero, and the later axes
+    are already complete.  Batch axes of the kernel go in front.
+    """
+    batch = kernel.shape[:-2]
+    table = np.zeros(batch + tuple(d + 1 for d in degrees))
+    table[..., 0, 0, 0, 0] = 1.0
+    for i in reversed(range(4)):
+        head, rest = (...,) + (0,) * i, (slice(None),) * (3 - i)  # earlier axes at 0, later axes whole
+        weight = [kernel[..., i, j][(...,) + (None,) * (3 - i)] for j in range(4)]
+        for k in range(degrees[i]):
+            current = table[head + (k,) + rest]
+            step = weight[i] * table[head + (k - 1,) + rest] if k else np.zeros_like(current)
+            for j in range(i + 1, 4):  # c[p - e_j] is zero where p_j = 0
+                tail = (slice(None),) * (3 - j)
+                step[(..., slice(1, None)) + tail] += weight[j] * current[(..., slice(None, -1)) + tail]
+            table[head + (k + 1,) + rest] = step * (-2.0 / (k + 1))
+    return table
+
+
 def hermite_coefficient(kernel: np.ndarray, orders: tuple[int, int, int, int]) -> float:
     """Value at the origin of the four-variable Hermite polynomial of exp(-y^T R y).
 
     Equals (-1)^(sum of orders) times orders! times the Taylor coefficient of
-    y^orders; exact up to floating point.
+    y^orders, taken from reference_taylor_table; exact up to floating point.
     """
     if any(o < 0 for o in orders):
         raise ValueError(f"orders must be non-negative, got {orders}")
     if max(orders) > MAX_ORDER:
         raise ValueError(f"orders above {MAX_ORDER} are not supported, got {orders}")
-    table = _exp_neg_quadratic(np.asarray(kernel, dtype=float), tuple(orders))
+    table = reference_taylor_table(np.asarray(kernel, dtype=float), tuple(orders))
     total = sum(orders)
     fac = math.prod(math.factorial(o) for o in orders)
     return float((-1.0) ** total * fac * table[tuple(orders)])

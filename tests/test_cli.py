@@ -234,8 +234,9 @@ def golden(name: str, code: int = 0):
     CLI was reduced to a thin edge over the library tables; rrange_gain_eps_csv
     was captured again when the root search changed, and monogamy_json,
     fock_dump_* and sweep_gain_3x3_json when the 2x2 closed forms replaced the
-    4x4 eigensolve, inverse and determinant, each value checked against its
-    50-digit reference."""
+    4x4 eigensolve, inverse and determinant, and fock_dump_* again when the
+    sector sum replaced the derivative recurrence of the Taylor table, each value
+    checked against its 50-digit reference."""
     return code, (DATA / "cli" / f"{name}.txt").read_text(encoding="utf-8")
 
 
@@ -406,11 +407,21 @@ def test_fock_dump_gain_selection_rule(capsys):
         assert m1 - n1 == m2 - n2
 
 
-def test_fock_dump_rejects_gain_above_the_limit(capsys):
-    code = run_cli("fock-dump", "--channel", "gain", "--r", "0.3", "--gain", "1e308")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("--channel", "gain", "--r", "0.3", "--gain", "1e308"),
+                     "gain factor must be finite and lie in [1, 10], got 1e+308", id="gain"),
+        pytest.param(("--r", "0.3", "--cutoffs", "8", "3"), "cutoffs above 7 are not supported, got (8, 3)",
+                     id="cutoff-above"),
+        pytest.param(("--r", "0.3", "--cutoffs", "0", "3"), "cutoffs must be >= 1, got (0, 3)", id="cutoff-zero"),
+    ],
+)
+def test_fock_dump_rejects_gain_above_the_limit(capsys, argv, message):
+    code = run_cli("fock-dump", *argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: gain factor must be finite and lie in [1, 10], got 1e+308\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

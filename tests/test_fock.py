@@ -9,6 +9,7 @@ from conftest import (
     inverse_hermite_kernel,
     kraus_tmsv_elements,
     lossy_tmsv_element,
+    reference_taylor_table,
     thermal_marginal,
 )
 from cvsteer import (
@@ -174,26 +175,56 @@ def test_hermite_against_sympy():
 
 
 def test_taylor_table_against_sympy_at_mixed_degrees():
-    # A symmetric kernel with every entry nonzero (no covariance in scope has one, so the
-    # general recurrence is checked on its own) and a different degree on every axis.
+    # A symmetric kernel with every entry nonzero checks the general-kernel reference (no
+    # covariance in scope has one), and a kernel with hermite_kernel's structure, its three
+    # couplings u, v, x all nonzero, checks the sector sum; a different degree on every axis.
     import sympy as sp
 
-    kernel = np.array([
+    general = np.array([
         [0.125, -0.375, 0.25, 0.0625],
         [-0.375, -0.1875, 0.5, -0.25],
         [0.25, 0.5, 0.3125, -0.125],
         [0.0625, -0.25, -0.125, 0.4375],
     ])
+    in_scope = np.array([
+        [0.0, -0.1875, -0.125, 0.0],
+        [-0.1875, 0.0, 0.0, -0.3125],
+        [-0.125, 0.0, 0.0, -0.1875],
+        [0.0, -0.3125, -0.1875, 0.0],
+    ])
     degrees = (3, 1, 2, 2)
     y = sp.symbols("y1:5")
-    quad = sum(sp.Rational(float(kernel[i, j])) * y[i] * y[j] for i in range(4) for j in range(4))
-    series = sp.Poly(sum((-quad) ** k / sp.factorial(k) for k in range(sum(degrees) // 2 + 1)), *y)
-    expected = np.zeros(tuple(d + 1 for d in degrees))
-    for powers, coeff in series.terms():
-        if all(p <= d for p, d in zip(powers, degrees)):
-            expected[powers] = float(coeff)
-    assert np.count_nonzero(expected) > 30
-    np.testing.assert_allclose(_exp_neg_quadratic(kernel, degrees), expected, rtol=0, atol=1e-14)
+    for kernel, taylor_table, nonzero in ((general, reference_taylor_table, 30), (in_scope, _exp_neg_quadratic, 12)):
+        quad = sum(sp.Rational(float(kernel[i, j])) * y[i] * y[j] for i in range(4) for j in range(4))
+        series = sp.Poly(sum((-quad) ** k / sp.factorial(k) for k in range(sum(degrees) // 2 + 1)), *y)
+        expected = np.zeros(tuple(d + 1 for d in degrees))
+        for powers, coeff in series.terms():
+            if all(p <= d for p, d in zip(powers, degrees)):
+                expected[powers] = float(coeff)
+        assert np.count_nonzero(expected) > nonzero
+        np.testing.assert_allclose(taylor_table(kernel, degrees), expected, rtol=0, atol=1e-14)
+
+
+def test_sector_sum_matches_the_general_recurrence():
+    # Every kernel structure a covariance in scope gives: one coupling zero up to rounding
+    # (loss or gain on one mode), all three nonzero (loss on both modes, gain after loss, a
+    # general (a, b, c)), and no u (thermal, c = 0); up to r = 5 at cutoffs (7, 7).
+    for r in (1e-9, 0.05, 0.3, 0.8, 1.4, 2.5, 3.7, 5.0):
+        vacuum = tmsv_covariance(r)
+        states = [apply_loss(vacuum, 0.3, mode) for mode in "AB"] + [apply_gain(vacuum, 1.7, mode) for mode in "AB"]
+        states += [
+            apply_loss(apply_loss(vacuum, 0.4, "A"), 0.6, "B"),
+            apply_gain(apply_loss(vacuum, 0.5, "B"), 2.0, "B"),
+            apply_gain(vacuum, 10.0, "B"),
+            TwoModeCovariance(vacuum.a, 2.0, 0.0),
+            TwoModeCovariance(1.8, 1.3, 0.7),
+        ]
+        for cov in states:
+            kernel = hermite_kernel(cov)
+            for degrees in ((6, 6, 6, 6), (3, 1, 2, 2), (2, 5, 2, 5), (0, 0, 0, 0)):
+                reference = reference_taylor_table(kernel, degrees)
+                error = np.abs(_exp_neg_quadratic(kernel, degrees) - reference)
+                assert np.all(error <= 1e-15 * np.maximum(1.0, np.abs(reference))), (r, cov, degrees)
 
 
 def test_hermite_consistent_with_element():
@@ -285,8 +316,9 @@ def test_batched_density_matches_each_state():
 
 @pytest.mark.parametrize("channel, params", [("loss", (0.05, 0.5, 1.0)), ("gain", (1.0, 1.7, 10.0))])
 def test_top_cutoff_density_matches_the_kraus_closed_form(channel, params):
-    # Every element at cutoffs (7, 7), the order guard's limit, against the Kraus sum.
-    for r in (0.02, 0.6, 1.3):
+    # Every element at cutoffs (7, 7), the cutoff guard's limit, against the Kraus sum,
+    # over the documented squeezing range.
+    for r in (0.02, 0.6, 1.3, 2.5, 3.7, 5.0):
         rho = fock_density(channel_covariance(channel, np.full(3, r), np.array(params)), 7, 7)
         for i, param in enumerate(params):
             reference = kraus_tmsv_elements(channel, r, param, 7, 7).astype(float)
