@@ -59,41 +59,47 @@ ROOT_MAXITER = 200
 _ROOT_RTOL = 4 * np.finfo(float).eps
 
 
-def find_roots(margins, lo, hi, xtol: float = ROOT_XTOL) -> np.ndarray:
+def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None) -> np.ndarray:
     """Sign changes of a batch of margins, one per bracket [lo[i], hi[i]] (1-D).
 
     margins(index, x) returns the margins of the elements `index` (an integer
-    array) at parameters x, as one batch.  Each step evaluates every live
-    bracket once, at Chandrupatla's inverse-quadratic point where his test
-    accepts it and at the midpoint otherwise (T. R. Chandrupatla, Adv. Eng.
-    Softw. 28, 145 (1997)), and keeps a sign change bracketed; a result lies
-    within xtol + 4 eps |x| of one.  An empty bracket (lo == hi) returns hi
-    unevaluated.  Raises ValueError on ends of the same sign or a NaN margin,
-    RuntimeError after ROOT_MAXITER steps.
+    array) at parameters x, as one batch; ends = (margins at lo, margins at hi)
+    spares their evaluation when the caller holds them.  Each step evaluates
+    every live bracket once, at Chandrupatla's inverse-quadratic point where
+    his test accepts it and at the midpoint otherwise (T. R. Chandrupatla, Adv.
+    Eng. Softw. 28, 145 (1997)), and keeps a sign change bracketed; a result
+    lies within xtol (a scalar or one per bracket) + 4 eps |x| of one.  An
+    empty bracket (lo == hi) returns hi unevaluated.  Raises ValueError on ends
+    of the same sign or a NaN margin, RuntimeError after ROOT_MAXITER steps.
     """
-    x1, x2 = np.array(np.broadcast_arrays(lo, hi), dtype=float)
+    x1, x2, xtol = np.array(np.broadcast_arrays(lo, hi, xtol), dtype=float)
     root, todo = x2.copy(), np.flatnonzero(x1 != x2)
 
-    def f(index, x):
-        fx = np.asarray(margins(index, x) if index.size else (), dtype=float)
+    def checked(fx, x):
+        fx = np.asarray(fx, dtype=float)
         if np.isnan(fx).any():
             raise ValueError(f"margin is NaN at {x[np.isnan(fx)][0]}")
         return fx
 
-    f1, f2 = np.split(f(np.tile(todo, 2), np.concatenate([x1[todo], x2[todo]])), 2)
+    x = np.concatenate([x1[todo], x2[todo]])
+    if ends is None:
+        fx = margins(np.tile(todo, 2), x) if todo.size else ()
+    else:
+        fx = np.concatenate([np.broadcast_to(end, x1.shape)[todo] for end in ends])
+    f1, f2 = np.split(checked(fx, x), 2)
     same = todo[f1 * f2 > 0]
     if same.size:
         raise ValueError(f"margin has the same sign at both ends of [{x1[same[0]]}, {x2[same[0]]}]")
     root[todo[f1 == 0]] = x1[todo[f1 == 0]]
     live = (f1 != 0) & (f2 != 0)
-    todo, x1, f1, x2, f2 = todo[live], x1[todo[live]], f1[live], x2[todo[live]], f2[live]
+    todo, x1, f1, x2, f2, xtol = todo[live], x1[todo[live]], f1[live], x2[todo[live]], f2[live], xtol[todo[live]]
     t = 0.5
     for _ in range(ROOT_MAXITER):
         if not todo.size:
             return root
         # x1 is the newest point and [x1, x2] the bracket; x3 is the end it dropped.
         x = x1 + t * (x2 - x1)
-        fx = f(todo, x)
+        fx = checked(margins(todo, x), x)
         kept = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(kept, x1, x2), np.where(kept, f1, f2)
         x2, f2 = np.where(kept, x2, x1), np.where(kept, f2, f1)
@@ -102,7 +108,7 @@ def find_roots(margins, lo, hi, xtol: float = ROOT_XTOL) -> np.ndarray:
         tol = xtol + _ROOT_RTOL * np.abs(best)
         done = (fx == 0) | (dx < tol)
         root[todo[done]] = best[done]
-        todo, x1, f1, x2, f2, x3, f3, dx, tol = (a[~done] for a in (todo, x1, f1, x2, f2, x3, f3, dx, tol))
+        todo, x1, f1, x2, f2, x3, f3, dx, tol, xtol = (a[~done] for a in (todo, x1, f1, x2, f2, x3, f3, dx, tol, xtol))
         xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
         iqi = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
         a, b, c, alpha = f1[iqi], f2[iqi], f3[iqi], ((x3 - x1) / (x2 - x1))[iqi]
@@ -255,27 +261,27 @@ def find_boundary(channel: str, r: float, criterion: str, direction: str) -> flo
     A coarse grid over the channel's parameter bracket is evaluated first, as one
     batch.  Returns None when the margin has the same sign at every grid point
     (no boundary) and raises ValueError naming each sign change when there is
-    more than one; a single one is searched for over the whole bracket.
+    more than one; a single one is searched for over the whole bracket, from
+    the margins the grid holds at its ends.
     """
     if r <= 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got {r}")
     spec = _channel(channel)
     lo, hi = spec.bracket
     grid = np.linspace(lo, hi, _BOUNDARY_GRID)
-    margins = _margins(channel, criterion, direction, np.full(grid.size, r))
-    positive = margins(np.arange(grid.size), grid) > 0.0
+
+    def margins(index, param):
+        return batch_margins(channel, np.full(index.size, r), param, ((criterion, direction),))[0]
+
+    values = margins(np.arange(grid.size), grid)
+    positive = values > 0.0
     flips = np.flatnonzero(positive[1:] != positive[:-1])
     if flips.size > 1:
         cells = ", ".join(f"{spec.param}={grid[i]:.9g} and {grid[i + 1]:.9g}" for i in flips)
         raise ValueError(f"{criterion} margin changes sign {flips.size} times at r={r:.9g}: between {cells}")
     if not flips.size:
         return None
-    return float(find_roots(margins, [lo], [hi])[0])
-
-
-def _margins(channel: str, criterion: str, direction: str, rs: np.ndarray):
-    """margins(index, param) of one criterion at the squeezings rs[index], as one batch."""
-    return lambda i, param: batch_margins(channel, rs[i], param, ((criterion, direction),))[0]
+    return float(find_roots(margins, [lo], [hi], ends=(values[0], values[-1]))[0])  # linspace ends are lo and hi
 
 
 @dataclass(frozen=True)
@@ -319,9 +325,10 @@ def squeezing_range(
     """Scan squeezing for detection inside the Gaussian-blind region.
 
     Scans the points k * r_step <= r_max, k >= 1 (1 to MAX_GRID_POINTS of
-    them; a point within rounding of r_max counts), with endpoint refinement
-    by find_roots; only the TLOO criteria are meaningful here.  Raises if the
-    detected points are not one run, naming the first gap.
+    them; a point within rounding of r_max counts); only the TLOO criteria are
+    meaningful here.  One find_roots search, from the margins the scan and the
+    gain walk hold, refines both ends of detection and every eps point.
+    Raises if the detected points are not one run, naming the first gap.
     """
     if CRITERIA.get(criterion) is None:
         raise ValueError(f"squeezing-range scan requires a TLOO criterion, got {criterion!r}")
@@ -341,7 +348,8 @@ def squeezing_range(
     rs = np.minimum(r_step * np.arange(1, steps + 1), r_max)  # the point counted within rounding stays at r_max
     # Blind edges a batch at a time too, so their working arrays stay bounded.
     params = np.concatenate([edge(rs[i : i + _SWEEP_BATCH]) for i in range(0, steps, _SWEEP_BATCH)])
-    detected = batch_margins(channel, rs, params, pair)[0] > MARGIN_TOL
+    scanned = batch_margins(channel, rs, params, pair)[0]
+    detected = scanned > MARGIN_TOL
     if not detected.any():
         return SqueezingRange(channel, criterion, direction, False)
     hits = np.flatnonzero(detected)
@@ -350,31 +358,42 @@ def squeezing_range(
         before, after = rs[hits[[gaps[0], gaps[0] + 1]]]
         raise ValueError(f"{criterion} detection is not one run of scan points: "
                          f"it stops after r={before:.9g} and resumes at r={after:.9g}")
+    r_hit = rs[detected]
 
-    def blind(_, r):
-        return batch_margins(channel, r, edge(r), pair)[0] - MARGIN_TOL
+    def margins(index, x):
+        # Brackets 0 and 1 search r on the blind edge for margin MARGIN_TOL, 2 + k the parameter at r_hit[k].
+        end = index < 2
+        r, param = x.copy(), x.copy()
+        r[~end] = r_hit[index[~end] - 2]
+        if end.any():
+            param[end] = edge(x[end])
+        return batch_margins(channel, r, param, pair)[0] - np.where(end, MARGIN_TOL, 0.0)
 
-    # Refine each end where detection (margin > MARGIN_TOL) flips; an empty bracket keeps the scan point.
+    # Each detection end lies between two scan points, whose margins the scan holds; an empty bracket keeps the scan point.
     first, last = hits[[0, -1]]
-    lo, hi = rs[[max(first - 1, 0), last]], rs[[first, min(last + 1, steps - 1)]]
-    r_low, r_high = find_roots(blind, lo, hi, xtol=1e-6).tolist()
-
-    eps_curve = None
+    below, above = [max(first - 1, 0), last], [first, min(last + 1, steps - 1)]
+    lo, hi, f_lo, f_hi = rs[below], rs[above], scanned[below] - MARGIN_TOL, scanned[above] - MARGIN_TOL
+    xtol = [1e-6, 1e-6]
     if spec.eps_curve:
-        r_hit, boundary = rs[detected], params[detected]
-        margins = _margins(channel, criterion, direction, r_hit)
+        boundary = params[detected]
         # Walk each detected r up in 0.5 steps until the margin turns non-positive
-        # inside the parameter bracket, then search between boundary and that point.
-        top, hi = spec.bracket[1], boundary + 0.5
+        # inside the parameter bracket; the eps search runs between boundary and that point.
+        top, walked, f_walked = spec.bracket[1], boundary + 0.5, np.empty(r_hit.size)
         walking, stuck = np.arange(r_hit.size), []
         while walking.size:
-            walking = walking[margins(walking, hi[walking]) > 0.0]
-            stuck += walking[hi[walking] >= top].tolist()
-            walking = walking[hi[walking] < top]
-            hi[walking] = np.minimum(hi[walking] + 0.5, top)
+            f_walked[walking] = margins(walking + 2, walked[walking])
+            walking = walking[f_walked[walking] > 0.0]
+            stuck += walking[walked[walking] >= top].tolist()
+            walking = walking[walked[walking] < top]
+            walked[walking] = np.minimum(walked[walking] + 0.5, top)
         if stuck:
             raise ValueError(f"{criterion} margin stays positive up to {spec.param} {top} at r={r_hit[min(stuck)]:.9g}")
-        eps_curve = tuple(zip(r_hit.tolist(), (find_roots(margins, boundary, hi) - boundary).tolist()))
+        lo, hi = np.concatenate([lo, boundary]), np.concatenate([hi, walked])
+        f_lo, f_hi = np.concatenate([f_lo, scanned[detected]]), np.concatenate([f_hi, f_walked])
+        xtol += [ROOT_XTOL] * r_hit.size
+    roots = find_roots(margins, lo, hi, xtol, ends=(f_lo, f_hi))
+    r_low, r_high = roots[:2].tolist()
+    eps_curve = tuple(zip(r_hit.tolist(), (roots[2:] - boundary).tolist())) if spec.eps_curve else None
 
     return SqueezingRange(channel, criterion, direction, True, r_low, r_high, eps_curve)
 

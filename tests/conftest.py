@@ -1,13 +1,23 @@
 """Shared builders for random states, and independent oracles for the channels,
 the Gaussian margin, the Hermite kernel, the Taylor table, the Fock elements, the
-TLOO correlation matrix and the TLOO margin."""
+TLOO correlation matrix, the TLOO margin and the squeezing-range search."""
 
 import math
 
 import mpmath
 import numpy as np
 
-from cvsteer import A_TO_B, B_TO_A, MAX_ORDER, FockDensity, TlooSet, expectation_values
+from cvsteer import (
+    A_TO_B,
+    B_TO_A,
+    MARGIN_TOL,
+    MAX_ORDER,
+    FockDensity,
+    SqueezingRange,
+    TlooSet,
+    expectation_values,
+    scan,
+)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -288,3 +298,41 @@ def einsum_correlation_entries(rho: FockDensity, tloos_a: TlooSet, tloos_b: Tloo
     mean_a = expectation_values(rho.reduced_a[..., :level_a, :level_a], tloos_a)
     mean_b = expectation_values(rho.reduced_b[..., :level_b, :level_b], tloos_b)
     return joint.real - mean_a[..., :, None] * mean_b[..., None, :]
+
+
+def reference_squeezing_range(channel: str, criterion: str, direction: str, r_step: float, r_max: float) -> SqueezingRange:
+    """squeezing_range by separate root searches, each evaluating its own bracket ends.
+
+    The oracle for the single search of scan.squeezing_range, which starts from the
+    margins its scan and walk already hold: the ends where detection flips are
+    searched first, then each detected r is walked up in 0.5 steps, then the eps
+    points are searched, all through the public find_roots.  Margins are
+    batch-invariant, so the two agree bit for bit.  Takes a scan with a detection.
+    """
+    spec, pair = scan.CHANNELS[channel], ((criterion, direction),)
+    edge = spec.blind_edge[direction]
+    steps = int(r_max / r_step * (1.0 + 1e-12))
+    rs = np.minimum(r_step * np.arange(1, steps + 1), r_max)
+    params = edge(rs)
+    detected = scan.batch_margins(channel, rs, params, pair)[0] > MARGIN_TOL
+    first, last = np.flatnonzero(detected)[[0, -1]]
+
+    def blind(_, r):
+        return scan.batch_margins(channel, r, edge(r), pair)[0] - MARGIN_TOL
+
+    lo, hi = rs[[max(first - 1, 0), last]], rs[[first, min(last + 1, steps - 1)]]
+    r_low, r_high = scan.find_roots(blind, lo, hi, xtol=1e-6).tolist()
+    eps_curve = None
+    if spec.eps_curve:
+        r_hit, boundary = rs[detected], params[detected]
+
+        def margins(i, param):
+            return scan.batch_margins(channel, r_hit[i], param, pair)[0]
+
+        top, hi, walking = spec.bracket[1], boundary + 0.5, np.arange(r_hit.size)
+        while walking.size:
+            walking = walking[margins(walking, hi[walking]) > 0.0]
+            assert (hi[walking] < top).all(), "margin stays positive across the bracket"
+            hi[walking] = np.minimum(hi[walking] + 0.5, top)
+        eps_curve = tuple(zip(r_hit.tolist(), (scan.find_roots(margins, boundary, hi) - boundary).tolist()))
+    return SqueezingRange(channel, criterion, direction, True, r_low, r_high, eps_curve)

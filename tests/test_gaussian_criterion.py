@@ -230,6 +230,46 @@ def test_find_roots_lands_within_xtol_of_each_root(xtol):
 
 
 @pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
+def test_find_roots_from_known_ends_is_bit_identical(xtol):
+    roots, scale, lo, hi = seeded_cubics()
+    calls = []
+
+    def margins(i, x):
+        calls.append(x)
+        return cubic(x, roots[i], scale[i])
+
+    evaluated = find_roots(margins, lo, hi, xtol=xtol)
+    steps = len(calls)
+    given = find_roots(margins, lo, hi, xtol=xtol, ends=(cubic(lo, roots, scale), cubic(hi, roots, scale)))
+    assert given.tolist() == evaluated.tolist()
+    assert len(calls) - steps == steps - 1  # the end batch is the one left out
+
+
+def test_find_roots_checks_known_ends():
+    def never(index, x):
+        pytest.fail("evaluated a known end")
+
+    with pytest.raises(ValueError, match=r"same sign at both ends of \[0.5, 1.0\]"):
+        find_roots(never, np.array([0.0, 0.5]), np.array([1.0, 1.0]), ends=([-1.0, 0.5], [1.0, 1.0]))
+    with pytest.raises(ValueError, match="margin is NaN at 1.0"):
+        find_roots(never, np.array([0.0]), np.array([1.0]), ends=([-0.5], [np.nan]))
+    # An empty bracket is neither checked nor evaluated; a zero end is the root.
+    roots = find_roots(never, np.array([0.3, 0.2]), np.array([0.3, 0.9]), ends=([np.nan, 0.0], [np.nan, 1.0]))
+    assert roots.tolist() == [0.3, 0.2]
+
+
+def test_find_roots_takes_a_tolerance_per_bracket():
+    roots, scale, lo, hi = seeded_cubics()
+    xtol = np.random.default_rng(8).choice([1e-13, 1e-8, 1e-6, 1e-3], roots.size)
+    found = find_roots(lambda i, x: cubic(x, roots[i], scale[i]), lo, hi, xtol=xtol)
+    assert (np.abs(found - roots) <= xtol + 4 * np.finfo(float).eps * np.abs(roots)).all()
+    # Each bracket runs as it would alone at its own tolerance.
+    for tol in np.unique(xtol):
+        alone = find_roots(lambda i, x: cubic(x, roots[i], scale[i]), lo, hi, xtol=tol)
+        assert found[xtol == tol].tolist() == alone[xtol == tol].tolist()
+
+
+@pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
 def test_bisect_takes_scipys_steps(xtol):
     # The halving bisection that find_roots replaced took scipy.optimize.bisect's
     # steps bit for bit. Chandrupatla's steps differ, so on the same seeded cubics

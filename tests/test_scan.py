@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import lossy_tmsv_element, reference_margin, thermal_marginal
+from conftest import lossy_tmsv_element, reference_margin, reference_squeezing_range, thermal_marginal
 from cvsteer import (
     A_TO_B,
     B_TO_A,
@@ -279,6 +279,30 @@ def test_find_boundary_is_pinned(r, loss, gain):
     assert abs(gain - (1 + mpmath.tanh(r) ** 2)) <= step
 
 
+@pytest.mark.parametrize(
+    "channel, criterion, direction, r, expected, batches",
+    [
+        ("loss", "tloo-n3", B_TO_A, 0.8, 0.46856119611166164, 7),
+        ("gain", "tloo-n2", A_TO_B, 0.4, 1.1952401178417438, 10),
+        ("loss", "gaussian", B_TO_A, 0.3, 0.5000000000000001, 4),
+        ("gain", "gaussian", A_TO_B, 1e-4, 1.0000000108333322, 7),
+    ],
+)
+def test_find_boundary_searches_from_its_pre_scan(monkeypatch, channel, criterion, direction, r, expected, batches):
+    # The pre-scan grid holds the margins at the bracket ends, so the search evaluates
+    # one point per step and finds the value the search evaluating its own ends found.
+    params = []
+
+    def recording(*args):
+        params.append(args[2].tolist())
+        return batch_margins(*args)
+
+    monkeypatch.setattr(scan, "batch_margins", recording)
+    assert repr(find_boundary(channel, r, criterion, direction)) == repr(expected)
+    assert len(params) == batches
+    assert len(params[0]) == 64 and all(len(step) == 1 for step in params[1:])
+
+
 def two_crossings(channel, rs, params, criteria):
     return [(params - 0.3) * (params - 0.7) for _ in criteria]
 
@@ -416,10 +440,11 @@ def test_squeezing_range_gain_edge_is_looked_up_at_call_time(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("channel, criterion, direction, most", [("loss", "tloo-n3", B_TO_A, 8), ("gain", "tloo-n2", A_TO_B, 20)])
+@pytest.mark.parametrize("channel, criterion, direction, most", [("loss", "tloo-n3", B_TO_A, 5), ("gain", "tloo-n2", A_TO_B, 10)])
 def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterion, direction, most):
     # Most of a margin batch's cost is fixed, so the batch count sets a search's cost.
-    # Halving every bracket down to its tolerance takes 17 batches for loss and 45 for gain here.
+    # Halving every bracket down to its tolerance takes 17 batches for loss and 45 for gain here,
+    # and separate searches for the ends and the eps curve, each evaluating its own ends, 6 and 15.
     calls = []
 
     def counting(*args):
@@ -429,6 +454,19 @@ def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterio
     monkeypatch.setattr(scan, "batch_margins", counting)
     assert squeezing_range(channel, criterion, direction, r_step=0.0205, r_max=1.22).detected
     assert len(calls) <= most
+
+
+@pytest.mark.parametrize("r_step", [0.02, 0.0205, 0.1])
+@pytest.mark.parametrize(
+    "channel, criterion, direction",
+    [("loss", "tloo-n2", B_TO_A), ("loss", "tloo-n3", B_TO_A), ("gain", "tloo-n2", A_TO_B), ("gain", "tloo-n3", A_TO_B)],
+)
+def test_squeezing_range_equals_separate_searches(channel, criterion, direction, r_step):
+    # One search from the margins the scan and walk hold sees the floats the separate
+    # searches saw, since margins are batch-invariant.
+    result = squeezing_range(channel, criterion, direction, r_step=r_step, r_max=1.22)
+    assert result.detected
+    assert result == reference_squeezing_range(channel, criterion, direction, r_step=r_step, r_max=1.22)
 
 
 def test_squeezing_range_stable_under_refinement():
