@@ -73,14 +73,17 @@ def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -
 class FockDensity:
     """Two-mode density matrix truncated at Fock cutoffs (n_a, n_b).
 
-    elements[m1, m2, n1, n2] = <m1 m2|rho|n1 n2> (real for all states in
-    scope).  reduced_a / reduced_b are the *exact* single-mode reduced density
-    matrices on the truncated levels, including the weight the other mode
-    carries beyond its cutoff; for standard-form Gaussian states they are
-    diagonal thermal states.  excited_a / excited_b are 1 - <0|rho_A|0> and
-    1 - <0|rho_B|0>, exact where the constructor knows them (nbar / (1 + nbar)
-    for thermal marginals) and that subtraction otherwise.  A batch of states
-    puts one leading axis in front of every array.
+    elements[m1, m2, n1, n2] = <m1 m2|rho|n1 n2>, real and symmetric under
+    (m1, m2) <-> (n1, n2) (rho Hermitian), which correlation_matrix assumes:
+    from_elements checks raw arrays, fock_density builds exactly symmetric
+    tables, swap_fock_modes keeps them so, and the bare constructor trusts its
+    input, reduced states included.  reduced_a / reduced_b are the *exact*
+    single-mode reduced density matrices on the truncated levels, including
+    the weight the other mode carries beyond its cutoff; for standard-form
+    Gaussian states they are diagonal thermal states.  excited_a / excited_b
+    are 1 - <0|rho_A|0> and 1 - <0|rho_B|0>, exact where the constructor knows
+    them (nbar / (1 + nbar) for thermal marginals) and that subtraction
+    otherwise.  A batch of states puts one leading axis in front of every array.
     """
 
     elements: np.ndarray
@@ -107,10 +110,14 @@ class FockDensity:
     @classmethod
     def from_elements(cls, elements: np.ndarray) -> "FockDensity":
         """Wrap a raw truncated array for a state supported entirely inside the
-        cutoffs; the reduced matrices are then plain partial traces."""
+        cutoffs; the reduced matrices are then plain partial traces.  Raises
+        unless the array is symmetric under (m1, m2) <-> (n1, n2) to 1e-12."""
         elements = np.asarray(elements, dtype=float)
         if elements.ndim != 4 or elements.shape[0] != elements.shape[2] or elements.shape[1] != elements.shape[3]:
             raise ValueError(f"expected shape (na, nb, na, nb), got {elements.shape}")
+        asymmetry = np.abs(elements - elements.transpose(2, 3, 0, 1)).max(initial=0.0)
+        if not asymmetry < 1e-12:  # NaN included
+            raise ValueError(f"elements are not symmetric under (m1, m2) <-> (n1, n2): they differ by {asymmetry:.3g}")
         reduced_a = np.einsum("mknk->mn", elements)
         reduced_b = np.einsum("kmkn->mn", elements)
         return cls(elements, reduced_a, reduced_b)

@@ -168,7 +168,7 @@ class SweepSpec:
     """Grid description for a sweep: channel, ranges and criteria to run."""
 
     channel: str
-    r_range: tuple[float, float, int]
+    r_range: tuple[float, float, int]  # (min, max, steps); steps may be a whole float
     param_range: tuple[float, float, int]
     criteria: tuple[tuple[str, str], ...]  # (criterion, direction) pairs
 
@@ -176,11 +176,13 @@ class SweepSpec:
         for name, (lo, hi, steps) in (("r", self.r_range), ("param", self.param_range)):
             if not np.isfinite((lo, hi)).all():
                 raise ValueError(f"{name} range bounds must be finite, got ({lo}, {hi})")
+            if not float(steps).is_integer():  # False for inf and NaN too
+                raise ValueError(f"grid STEPS must be a whole number, got {steps:g}")
             if steps < 2:
                 raise ValueError(f"{name} range needs at least 2 steps, got {steps}")
             if not lo <= hi:
                 raise ValueError(f"{name} range is inverted: ({lo}, {hi})")
-        points = self.r_range[2] * self.param_range[2]
+        points = int(self.r_range[2]) * int(self.param_range[2])
         if points > MAX_GRID_POINTS:
             raise ValueError(f"grid has {points} points; at most {MAX_GRID_POINTS} are supported")
         for criterion, direction in self.criteria:
@@ -346,8 +348,7 @@ def squeezing_range(
         return SqueezingRange(channel, criterion, direction, False, blind_region=False)
     pair = ((criterion, direction),)
     rs = np.minimum(r_step * np.arange(1, steps + 1), r_max)  # the point counted within rounding stays at r_max
-    # Blind edges a batch at a time too, so their working arrays stay bounded.
-    params = np.concatenate([edge(rs[i : i + _SWEEP_BATCH]) for i in range(0, steps, _SWEEP_BATCH)])
+    params = edge(rs)
     scanned = batch_margins(channel, rs, params, pair)[0]
     detected = scanned > MARGIN_TOL
     if not detected.any():

@@ -81,7 +81,9 @@ def correlation_matrix(
     The observables act inside the cutoffs, so the joint expectations are
     exact functions of the truncated elements; the local means and weights
     come from the exact reduced states carried by rho.  Alternative (e.g.
-    rotated) observable sets may be supplied.
+    rotated) observable sets may be supplied.  The elements are real and
+    symmetric under (m1, m2) <-> (n1, n2), as FockDensity requires, so every
+    joint expectation is real and only its real part is computed.
     """
     tloos_a = tloos_a if tloos_a is not None else build_tloos(level_a)
     tloos_b = tloos_b if tloos_b is not None else build_tloos(level_b)
@@ -94,18 +96,11 @@ def correlation_matrix(
         )
 
     # Tr(rho A_i x B_j) = (T_a M T_b^T)_ij, M[(m n), (p q)] = <m p|rho|n q> real, T the flattened
-    # transposes, as real matmuls; at most four (N, n^2, n^2) arrays are alive at once.
+    # transposes, as real matmuls: Re(T_a) M Re(T_b)^T - Im(T_a) M Im(T_b)^T, the imaginary part being zero.
     block = rho.elements[..., :level_a, :level_b, :level_a, :level_b]
     joint = block.swapaxes(-3, -2).reshape(*block.shape[:-4], level_a**2, level_b**2)
     (re_a, im_a), (re_b, im_b) = tloos_a.flat_transposed, tloos_b.flat_transposed
-    right = joint @ re_b.T
-    entries, imag = re_a @ right, im_a @ right
-    np.matmul(joint, im_b.T, out=right)
-    del joint
-    entries -= im_a @ right
-    imag += re_a @ right
-    if np.abs(imag, out=imag).max(initial=0.0) >= 1e-12:
-        raise ValueError("joint expectations acquired an imaginary part; state not real?")
+    entries = re_a @ (joint @ re_b.T) - im_a @ (joint @ im_b.T)
     red_a = rho.reduced_a[..., :level_a, :level_a]
     red_b = rho.reduced_b[..., :level_b, :level_b]
     mean_a = expectation_values(red_a, tloos_a)
@@ -152,10 +147,9 @@ def tloo_steerable(
 
 
 def optimal_gain(corr: CorrelationMatrix) -> float:
-    """Linear-estimate gain minimising the paired variance sum.
-
-    g = -(sum of diagonal covariances) / (sum of untrusted-side variances).
-    """
+    """Linear-estimate gain -(sum of the first min(n_a^2, n_b^2) diagonal covariances) / (sum of all n_b^2
+    untrusted-side variances): the vertex of paired_variance_sum when level_a >= level_b, and otherwise of
+    the larger sum that also pairs each surplus B_j with the zero operator."""
     denom = corr.variance_sum_b()
     if denom <= 0.0:
         raise ValueError("untrusted-side variance sum is not positive")
@@ -204,8 +198,9 @@ def build_witness(
 
     Rotates both observable sets by the singular-value factors of the
     correlation matrix, which makes the rotated correlations diagonal with the
-    singular values on the diagonal, then applies the optimal gain.  Raises on
-    states the trace-norm criterion does not flag.
+    singular values on the diagonal, then applies the gain that minimises the
+    paired variance sum reported.  Raises on states the trace-norm criterion
+    does not flag.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -225,7 +220,7 @@ def build_witness(
     diag = np.diag(rotated.entries)[:pairs].copy()
     if abs(diag.sum() - singular.sum()) > 1e-9:
         raise RuntimeError("rotated diagonal correlations do not reproduce the trace norm")
-    gain = optimal_gain(rotated)
+    gain = float(-diag.sum() / _variances(rotated.reduced_b, rot_b)[:pairs].sum())
     lhs, bound = paired_variance_sum(rho, rot_a, rot_b, gain)
     if not lhs < bound:
         raise RuntimeError("witness failed to violate the variance-sum bound")

@@ -71,9 +71,9 @@ def test_sweep_matches_golden_csv(tmp_path, channel, param_range):
         (("0.1", "inf", "3"), ("0.3", "0.6", "3"), "r range bounds must be finite"),
         (("nan", "0.5", "3"), ("0.3", "0.6", "3"), "r range bounds must be finite"),
         (("0.1", "0.5", "3"), ("0.3", "nan", "3"), "param range bounds must be finite"),
-        (("0.1", "0.5", "inf"), ("0.3", "0.6", "3"), "cannot convert float infinity to integer"),
+        (("0.1", "0.5", "inf"), ("0.3", "0.6", "3"), "grid STEPS must be a whole number, got inf"),
         (("0.1", "0.5", "1000"), ("0.3", "0.6", "1000"), "at most 250000"),
-        (("0.1", "0.5", "nan"), ("0.3", "0.6", "3"), "cannot convert float NaN to integer"),
+        (("0.1", "0.5", "nan"), ("0.3", "0.6", "3"), "grid STEPS must be a whole number, got nan"),
         (("0.1", "0.5", "2.9"), ("0.5", "1", "2"), "grid STEPS must be a whole number, got 2.9"),
         (("0.1", "0.5", "3"), ("0.5", "1", "2.5"), "grid STEPS must be a whole number, got 2.5"),
     ],

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -332,8 +333,14 @@ def test_batched_density_rejects_one_unphysical_state():
 
 
 def test_density_hermitian():
-    rho = fock_density(apply_loss(tmsv_covariance(0.6), 0.4, "B"), 4, 4)
-    np.testing.assert_allclose(rho.elements, rho.elements.transpose(2, 3, 0, 1), atol=1e-12)
+    # correlation_matrix takes the joint expectations to be real, and checks nothing: the table must be
+    # exactly symmetric under (m1, m2) <-> (n1, n2), for a batch and for each state on its own.
+    rs = np.array([1e-9, 0.5, 5.0])
+    for (channel, param), cutoffs in itertools.product([("loss", 0.4), ("gain", 1.5)], [(3, 3), (2, 5), (7, 7)]):
+        batch = fock_density(channel_covariance(channel, rs, np.full(rs.size, param)), *cutoffs)
+        singles = [fock_density(channel_covariance(channel, r, param), *cutoffs) for r in rs]
+        for elements in [batch.elements, *(rho.elements for rho in singles)]:
+            assert np.array_equal(elements, elements.swapaxes(-4, -2).swapaxes(-3, -1))
 
 
 def test_selection_rule_loss():

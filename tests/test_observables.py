@@ -50,8 +50,11 @@ def test_completeness(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_hermitian(n):
-    for mat in build_tloos(n).matrices:
-        np.testing.assert_allclose(mat, mat.conj().T, atol=1e-14)
+    # With a symmetric density, Hermitian observables make every joint expectation real.
+    canonical = build_tloos(n).matrices
+    assert np.array_equal(canonical, canonical.conj().transpose(0, 2, 1))
+    rotated = rotate_tloos(build_tloos(n), random_orthogonal(np.random.default_rng(n), n * n)).matrices
+    np.testing.assert_allclose(rotated, rotated.conj().transpose(0, 2, 1), atol=1e-14)
 
 
 def test_plus_minus_families_orthogonal():

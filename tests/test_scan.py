@@ -60,6 +60,18 @@ def test_spec_validation():
         small_spec(channel="gain", param_range=(0.5, 2.0, 3))  # gain < 1
     with pytest.raises(ValueError):
         small_spec(criteria=(("tloo-n4", B_TO_A),))
+    for field in ("r_range", "param_range"):
+        for steps in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="grid STEPS must be a whole number"):
+                small_spec(**{field: (0.3, 0.6, steps)})
+
+
+@pytest.mark.parametrize("r_range, param_range", [((0.05, 1.4, 120), (0.05, 0.95, 120)), ((0.2, 0.8, 4), (0.3, 0.6, 3))])
+def test_spec_takes_whole_float_steps(r_range, param_range):
+    ints = small_spec(r_range=r_range, param_range=param_range)
+    floats = small_spec(r_range=(*r_range[:2], float(r_range[2])), param_range=(*param_range[:2], float(param_range[2])))
+    for a, b in zip(floats.grid(), ints.grid()):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(

@@ -85,9 +85,9 @@ def test_correlation_matrix_rejects_an_imaginary_joint_expectation():
     # <0 1|rho|1 0> and its mirror element move apart: rho is no longer symmetric.
     elements[0, 1, 1, 0] += 1e-3
     elements[1, 0, 0, 1] -= 1e-3
-    rho = FockDensity.from_elements(elements)
-    with pytest.raises(ValueError, match="imaginary part"):
-        correlation_matrix(rho, 2, 2)
+    # correlation_matrix computes only real parts; such an array is refused where it enters.
+    with pytest.raises(ValueError, match="not symmetric"):
+        FockDensity.from_elements(elements)
 
 
 def test_sym_asym_cross_entries_vanish():
@@ -210,6 +210,20 @@ def test_optimal_gain_minimises_paired_variance():
     assert lhs_at(gain) == pytest.approx(f0 - slope**2 / (4.0 * curv), abs=1e-10)
     grid = np.arange(-5.0, 5.0, 0.01)
     assert lhs_at(gain) <= min(lhs_at(g) for g in grid) + 1e-12
+
+
+def test_witness_minimises_its_paired_sum_at_unequal_levels():
+    # At level_a < level_b the paired sum holds only the first level_a^2 untrusted variances, so a gain
+    # over all level_b^2 of them lands about halfway to the vertex (-0.101 against -0.196 here).
+    rho = fock_density(channel_covariance("gain", 0.1, 1.025), 3, 3)
+    witness = build_witness(rho, 2, 3, B_TO_A)
+    lhs_at = lambda g: paired_variance_sum(rho, witness.tloos_a, witness.tloos_b, g)[0]
+    f0, f1, fm1 = lhs_at(0.0), lhs_at(1.0), lhs_at(-1.0)
+    curv = (f1 + fm1) / 2.0 - f0
+    slope = (f1 - fm1) / 2.0
+    assert witness.gain == pytest.approx(-slope / (2.0 * curv), abs=1e-10)
+    assert witness.variance_sum == pytest.approx(f0 - slope**2 / (4.0 * curv), abs=1e-10)
+    assert witness.variance_sum < witness.bound
 
 
 # ------------------------------------------------------ paired variance sum
