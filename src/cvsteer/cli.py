@@ -9,7 +9,6 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import asdict
 
 from .covariance import MAX_GAIN, tmsv_covariance
 from .fock import fock_density, fock_density_json
@@ -60,7 +59,7 @@ def cmd_sweep(args) -> int:
         if args.format == "csv":
             write_sweep_csv(result, stream)
         else:
-            payload = [{**asdict(row), "direction": DIRECTION_LABELS[row.direction]} for row in result.rows()]
+            payload = [{**vars(row), "direction": DIRECTION_LABELS[row.direction]} for row in result.rows()]
             print(json.dumps(payload, indent=2), file=stream)
     return EXIT_OK
 

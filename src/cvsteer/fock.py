@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import TwoModeCovariance, check_physical
+from .covariance import TwoModeCovariance, check_physical, require_physical  # noqa: F401, perfbench traces check_physical here
 
 # Largest Fock index taken from outside (fock-dump --cutoffs, fock_density): a dense table
 # is (n_a n_b)^2 floats per state, and cutoffs <= 7 are checked against the Kraus sum.
@@ -111,8 +111,10 @@ class FockDensity:
     def from_elements(cls, elements: np.ndarray) -> "FockDensity":
         """Wrap a raw truncated array for a state supported entirely inside the
         cutoffs; the reduced matrices are then plain partial traces.  Raises
-        unless the array is symmetric under (m1, m2) <-> (n1, n2) to 1e-12."""
-        elements = np.asarray(elements, dtype=float)
+        unless the array is real and symmetric under (m1, m2) <-> (n1, n2) to 1e-12."""
+        if np.any(np.imag(elements)):  # NaN included
+            raise ValueError("elements must be real: correlation_matrix computes real parts only")
+        elements = np.asarray(np.real(elements), dtype=float)
         if elements.ndim != 4 or elements.shape[0] != elements.shape[2] or elements.shape[1] != elements.shape[3]:
             raise ValueError(f"expected shape (na, nb, na, nb), got {elements.shape}")
         asymmetry = np.abs(elements - elements.transpose(2, 3, 0, 1)).max(initial=0.0)
@@ -142,8 +144,7 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
         raise ValueError(f"cutoffs must be >= 1, got ({n_a}, {n_b})")
     if max(n_a, n_b) - 1 > MAX_ORDER:
         raise ValueError(f"cutoffs above {MAX_ORDER + 1} are not supported, got ({n_a}, {n_b})")
-    if not check_physical(cov):
-        raise ValueError("covariance matrix violates the uncertainty relation")
+    require_physical(cov)
 
     table = _exp_neg_quadratic(hermite_kernel(cov), (n_a - 1, n_b - 1, n_a - 1, n_b - 1))
     prefactor = np.asarray(4.0 / _sqrt_det_gamma_plus_identity(cov))[..., None, None, None, None]

@@ -11,7 +11,8 @@ eigenvalue of the first, with a - 1 exact, so it is precise down to the vacuum.
 
 import numpy as np
 
-from .covariance import TwoModeCovariance, _min_eigenvalue, _require, check_physical, tmsv_covariance
+from .covariance import (  # noqa: F401, perfbench traces check_physical here
+    TwoModeCovariance, _min_eigenvalue, _require, check_physical, require_physical, tmsv_covariance)
 from .verdict import A_TO_B, B_TO_A, SteeringVerdict
 
 
@@ -27,8 +28,7 @@ def gaussian_margin(cov: TwoModeCovariance, direction: str = B_TO_A):
 
 def gaussian_steerable(cov: TwoModeCovariance, direction: str = B_TO_A) -> SteeringVerdict:
     """Decide steerability under Gaussian measurements in the given direction."""
-    if not check_physical(cov):
-        raise ValueError("covariance matrix violates the uncertainty relation")
+    require_physical(cov)
     margin = gaussian_margin(cov, direction)
     return SteeringVerdict.from_margin("gaussian", direction, margin)
 

@@ -27,15 +27,15 @@ from .verdict import A_TO_B, B_TO_A, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """TLOO covariances of a two-mode state (or a batch) plus the cached local data."""
+    """TLOO covariances of a two-mode state (or a batch), the observable sets they were taken on and the local data."""
 
     entries: np.ndarray  # (level_a**2, level_b**2), real
     mean_a: np.ndarray
     mean_b: np.ndarray
     weight_a: float | np.ndarray
     weight_b: float | np.ndarray
-    level_a: int
-    level_b: int
+    tloos_a: TlooSet
+    tloos_b: TlooSet
     reduced_a: np.ndarray  # (level_a, level_a) truncated reduced state
     reduced_b: np.ndarray
     excited_a: float | np.ndarray  # 1 - <0|rho_A|0>, exact
@@ -47,10 +47,10 @@ class CorrelationMatrix:
 
     def variance_sum_a(self):
         """Sum of local variances over the A-side set (completeness identity)."""
-        return self.level_a * self.weight_a - (self.mean_a**2).sum(axis=-1)
+        return self.tloos_a.level * self.weight_a - (self.mean_a**2).sum(axis=-1)
 
     def variance_sum_b(self):
-        return self.level_b * self.weight_b - (self.mean_b**2).sum(axis=-1)
+        return self.tloos_b.level * self.weight_b - (self.mean_b**2).sum(axis=-1)
 
     def trusted_factor_a(self):
         """Tr rho_A - Tr rho_A^2 on the truncated levels (= weight_a - sum of squared means)."""
@@ -109,7 +109,7 @@ def correlation_matrix(
     weight_a = np.trace(red_a, axis1=-2, axis2=-1).real
     weight_b = np.trace(red_b, axis1=-2, axis2=-1).real
     return CorrelationMatrix(
-        entries, mean_a, mean_b, weight_a, weight_b, level_a, level_b, red_a, red_b, rho.excited_a, rho.excited_b
+        entries, mean_a, mean_b, weight_a, weight_b, tloos_a, tloos_b, red_a, red_b, rho.excited_a, rho.excited_b
     )
 
 
@@ -147,15 +147,13 @@ def tloo_steerable(
 
 
 def optimal_gain(corr: CorrelationMatrix) -> float:
-    """Linear-estimate gain -(sum of the first min(n_a^2, n_b^2) diagonal covariances) / (sum of all n_b^2
-    untrusted-side variances): the vertex of paired_variance_sum when level_a >= level_b, and otherwise of
-    the larger sum that also pairs each surplus B_j with the zero operator."""
-    denom = corr.variance_sum_b()
+    """Linear-estimate gain -(sum of the first min(n_a^2, n_b^2) diagonal covariances) / (sum of those
+    min(n_a^2, n_b^2) untrusted-side variances): the vertex of the paired variance sum on corr's own sets."""
+    pairs = min(len(corr.tloos_a), len(corr.tloos_b))
+    denom = _variances(corr.reduced_b, corr.tloos_b)[:pairs].sum()
     if denom <= 0.0:
         raise ValueError("untrusted-side variance sum is not positive")
-    pairs = min(len(corr.mean_a), len(corr.mean_b))
-    diag = float(np.trace(corr.entries[:pairs, :pairs]))
-    return -diag / denom
+    return float(-np.diag(corr.entries)[:pairs].sum() / denom)
 
 
 def paired_variance_sum(
@@ -169,11 +167,14 @@ def paired_variance_sum(
     observables act inside the cutoffs.  A_j beyond the size of the B set are
     paired with the zero operator.
     """
-    level_a, level_b = tloos_a.level, tloos_b.level
-    corr = correlation_matrix(rho, level_a, level_b, tloos_a, tloos_b)
-    pairs = min(len(tloos_a), len(tloos_b))
-    local, bound = uncertainty_sum(rho.reduced_a[:level_a, :level_a], tloos_a)
-    var_b = _variances(rho.reduced_b[:level_b, :level_b], tloos_b)[:pairs]
+    return _paired_sum(correlation_matrix(rho, tloos_a.level, tloos_b.level, tloos_a, tloos_b), gain)
+
+
+def _paired_sum(corr: CorrelationMatrix, gain: float) -> tuple[float, float]:
+    """paired_variance_sum on corr's own sets and reduced states."""
+    pairs = min(len(corr.tloos_a), len(corr.tloos_b))
+    local, bound = uncertainty_sum(corr.reduced_a, corr.tloos_a)
+    var_b = _variances(corr.reduced_b, corr.tloos_b)[:pairs]
     lhs = local + (gain**2 * var_b + 2.0 * gain * np.diag(corr.entries)[:pairs]).sum()
     return float(lhs), bound
 
@@ -198,9 +199,9 @@ def build_witness(
 
     Rotates both observable sets by the singular-value factors of the
     correlation matrix, which makes the rotated correlations diagonal with the
-    singular values on the diagonal, then applies the gain that minimises the
-    paired variance sum reported.  Raises on states the trace-norm criterion
-    does not flag.
+    singular values on the diagonal, then applies optimal_gain, the vertex of
+    the paired variance sum, and reports that sum, both read from the one
+    rotated matrix.  Raises on states the trace-norm criterion does not flag.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -216,12 +217,11 @@ def build_witness(
     rot_a = rotate_tloos(build_tloos(level_a), u.T)
     rot_b = rotate_tloos(build_tloos(level_b), vt)
     rotated = correlation_matrix(rho, level_a, level_b, rot_a, rot_b)
-    pairs = min(len(rot_a), len(rot_b))
-    diag = np.diag(rotated.entries)[:pairs].copy()
+    diag = np.diag(rotated.entries)[: min(len(rot_a), len(rot_b))].copy()
     if abs(diag.sum() - singular.sum()) > 1e-9:
         raise RuntimeError("rotated diagonal correlations do not reproduce the trace norm")
-    gain = float(-diag.sum() / _variances(rotated.reduced_b, rot_b)[:pairs].sum())
-    lhs, bound = paired_variance_sum(rho, rot_a, rot_b, gain)
+    gain = optimal_gain(rotated)
+    lhs, bound = _paired_sum(rotated, gain)
     if not lhs < bound:
         raise RuntimeError("witness failed to violate the variance-sum bound")
     return Witness(direction, rot_a, rot_b, gain, lhs, bound, diag)

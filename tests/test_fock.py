@@ -397,6 +397,29 @@ def test_from_elements_partial_traces():
     assert rho.trace_weight == pytest.approx(1.0, abs=1e-12)
 
 
+def _elements(entries, dtype=float):
+    elements = np.zeros((2, 2, 2, 2), dtype=dtype)
+    for idx, value in entries.items():
+        elements[idx] = value
+    return elements
+
+
+@pytest.mark.parametrize(
+    "elements, match",
+    [
+        (np.zeros((2, 2, 2)), "expected shape"),
+        (np.zeros((2, 3, 3, 2)), "expected shape"),
+        (_elements({(0, 1, 1, 0): 1e-3}), "not symmetric"),
+        (_elements({(0, 1, 1, 0): np.nan, (1, 0, 0, 1): np.nan}), "not symmetric"),
+        # Hermitian but complex: a cast to float would drop the coherence and keep the symmetry.
+        (_elements({(0, 0, 0, 0): 0.5, (1, 1, 1, 1): 0.5, (0, 0, 1, 1): 0.5j, (1, 1, 0, 0): -0.5j}, complex), "must be real"),
+    ],
+)
+def test_from_elements_rejections(elements, match):
+    with pytest.raises(ValueError, match=match):
+        FockDensity.from_elements(elements)
+
+
 # ------------------------------------------------------- thermal marginals
 
 

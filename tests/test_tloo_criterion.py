@@ -194,12 +194,15 @@ def test_optimal_gain_zero_for_product_state():
     assert optimal_gain(corr) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_optimal_gain_minimises_paired_variance():
-    rho = lossy_density(0.4, 0.45)
-    corr = correlation_matrix(rho, 2, 2)
-    gain = optimal_gain(corr)
-    tloos = build_tloos(2)
-    lhs_at = lambda g: paired_variance_sum(rho, tloos, tloos, g)[0]
+@pytest.mark.parametrize("levels", [(2, 2), (2, 3), (3, 2)])
+def test_optimal_gain_minimises_paired_variance(levels):
+    # At (2, 3) the paired sum holds only the first 4 of the 9 untrusted variances; a gain over all 9
+    # would land at -0.0506 against the vertex -0.1715.
+    rho = fock_density(channel_covariance("loss", 0.4, 0.45), 3, 3)
+    gain = optimal_gain(correlation_matrix(rho, *levels))
+    assert type(gain) is float
+    tloos_a, tloos_b = (build_tloos(n) for n in levels)
+    lhs_at = lambda g: paired_variance_sum(rho, tloos_a, tloos_b, g)[0]
     # The paired sum is an exact quadratic in the gain; recover its vertex
     # from three evaluations as an independent check.
     f0, f1, fm1 = lhs_at(0.0), lhs_at(1.0), lhs_at(-1.0)
@@ -224,6 +227,33 @@ def test_witness_minimises_its_paired_sum_at_unequal_levels():
     assert witness.gain == pytest.approx(-slope / (2.0 * curv), abs=1e-10)
     assert witness.variance_sum == pytest.approx(f0 - slope**2 / (4.0 * curv), abs=1e-10)
     assert witness.variance_sum < witness.bound
+
+
+def test_witness_assembles_each_correlation_matrix_once(monkeypatch):
+    # One matrix for the margin and one for the rotated sets, whose paired sum reuses it.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return correlation_matrix(*args)
+
+    monkeypatch.setattr("cvsteer.tloo_criterion.correlation_matrix", counted)
+    build_witness(fock_density(channel_covariance("loss", 0.4, 0.45), 3, 3), 2, 2, B_TO_A)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "param, levels, gain, variance_sum",
+    [
+        (0.45, (2, 2), -0.48527337786707236, 0.9467501570418404),
+        (0.7, (2, 3), -0.6047411346332509, 0.7800143942850457),
+    ],
+)
+def test_witness_pinned_values(param, levels, gain, variance_sum):
+    # Full-precision reference values; rel=1e-15 leaves room for a few ulps of LAPACK variation across machines.
+    witness = build_witness(fock_density(channel_covariance("loss", 0.4, param), 3, 3), *levels, B_TO_A)
+    assert witness.gain == pytest.approx(gain, rel=1e-15, abs=0.0)
+    assert witness.variance_sum == pytest.approx(variance_sum, rel=1e-15, abs=0.0)
 
 
 # ------------------------------------------------------ paired variance sum
