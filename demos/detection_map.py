@@ -17,13 +17,13 @@ spec = SweepSpec(
     criteria=(("gaussian", B_TO_A), ("tloo-n2", B_TO_A)),
 )
 result = run_sweep(spec)
-rows = result.rows()
 
-gauss = {(row.r, row.param): row.steerable for row in rows if row.criterion == "gaussian"}
-tloo = {(row.r, row.param): row.steerable for row in rows if row.criterion == "tloo-n2"}
+# The result is columns in grid order: one (r, eta) per point and one flag array per criterion.
+points = list(zip(result.r.tolist(), result.param.tolist()))
+gauss, tloo = (dict(zip(points, flags.tolist())) for flags in result.steerable)
 
-etas = sorted({param for _, param in gauss}, reverse=True)
-rs = sorted({r for r, _ in gauss})
+etas = sorted({param for _, param in points}, reverse=True)
+rs = sorted({r for r, _ in points})
 
 print("steering from B to A:  G = Gaussian only, T = TLOO only, B = both, . = neither")
 print("(the T cells below the eta = 0.5 line are invisible to Gaussian measurements)\n")
@@ -39,5 +39,5 @@ buffer = io.StringIO()
 write_sweep_csv(result, buffer)
 with open("loss_detection_map.csv", "w", encoding="utf-8") as handle:
     handle.write(buffer.getvalue())
-print(f"\nwrote {len(rows)} rows to loss_detection_map.csv")
+print(f"\nwrote {len(points) * len(result.criteria)} rows to loss_detection_map.csv")
 print("plot externally, e.g. margin vs (r, eta) per criterion")

@@ -37,7 +37,6 @@ from .scan import (
     MonogamyReport,
     SqueezingRange,
     SweepResult,
-    SweepRow,
     SweepSpec,
     channel_covariance,
     evaluate_point,
@@ -46,6 +45,7 @@ from .scan import (
     run_sweep,
     squeezing_range,
     write_sweep_csv,
+    write_sweep_json,
 )
 from .tloo_criterion import (
     CorrelationMatrix,

@@ -22,6 +22,7 @@ from .scan import (
     run_sweep,
     squeezing_range,
     write_sweep_csv,
+    write_sweep_json,
 )
 from .verdict import DIRECTION_LABELS
 
@@ -56,11 +57,7 @@ def cmd_sweep(args) -> int:
     param_range = args.param_range or CHANNELS[args.channel].default_range
     result = run_sweep(SweepSpec(args.channel, tuple(args.r_range), tuple(param_range), criteria))
     with _output(args.out) as stream:
-        if args.format == "csv":
-            write_sweep_csv(result, stream)
-        else:
-            payload = [{**vars(row), "direction": DIRECTION_LABELS[row.direction]} for row in result.rows()]
-            print(json.dumps(payload, indent=2), file=stream)
+        (write_sweep_csv if args.format == "csv" else write_sweep_json)(result, stream)
     return EXIT_OK
 
 
@@ -82,6 +79,8 @@ def cmd_boundary(args) -> int:
 
 def cmd_rrange(args) -> int:
     direction = DIRECTION_FROM_LABEL[args.direction]
+    if args.out and not CHANNELS[args.channel].eps_curve:
+        raise ValueError(f"--out writes the eps curve, which the {args.channel} channel does not have")
     result = squeezing_range(args.channel, _criterion(args), direction, r_step=args.r_step, r_max=args.r_max)
     if not result.blind_region:
         print(f"no Gaussian-blind region for {args.channel} {args.direction}")
@@ -181,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=("gaussian", "tloo"), default="tloo")
     p.add_argument("--r-step", type=float, default=1e-3, help="squeezing scan step")
     p.add_argument("--r-max", type=float, default=1.4, help="squeezing scan upper end")
-    _add_common(p, "level", "direction", "out")
+    _add_common(p, "level", "direction")
+    p.add_argument("--out", help="path of the eps-curve CSV, gain channel only ('-' for stdout)")
     p.set_defaults(func=cmd_rrange)
 
     p = sub.add_parser("monogamy", help="simultaneous Bob/Eve steering for a beamsplitter split")

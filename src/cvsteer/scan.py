@@ -9,7 +9,7 @@ column per criterion.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,11 +43,12 @@ CHANNELS = {
     "gain": Channel(apply_gain, "gain", (1.0, 6.0), (1.0, 2.0, 120), {A_TO_B: lambda r: gaussian_gain_boundary(r)}, True),
 }
 
-# Largest sweep grid or squeezing scan, and points per batch: the default 120x120
-# grid is one batch, and the working arrays stay near 3 kB per point however
-# large the grid.
+# Largest sweep grid or squeezing scan, points per batch (the default 120x120 grid is
+# one batch, and the working arrays stay near 3 kB per point however large the grid),
+# and the fields of a sweep record: the CSV header and the JSON keys.
 MAX_GRID_POINTS = 250_000
 _SWEEP_BATCH = 16_384
+_SWEEP_FIELDS = ("r", "param", "criterion", "direction", "margin", "steerable")
 
 # Points of the pre-scan find_boundary makes over a channel's parameter bracket.
 _BOUNDARY_GRID = 64
@@ -199,16 +200,6 @@ class SweepSpec:
         return np.repeat(rs, ps.size), np.tile(ps, rs.size)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    r: float
-    param: float
-    criterion: str
-    direction: str
-    margin: float
-    steerable: bool
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep as columns in grid order: one margin array per (criterion, direction) pair."""
@@ -228,12 +219,6 @@ class SweepResult:
         mine, theirs = (self.r, self.param, *self.margins), (other.r, other.param, *other.margins)
         return all(np.array_equal(a, b) for a, b in zip(mine, theirs))
 
-    def rows(self) -> list[SweepRow]:
-        """One SweepRow per grid point and pair, in grid order, for callers that want records."""
-        pairs = [(pair, m.tolist(), s.tolist()) for pair, m, s in zip(self.criteria, self.margins, self.steerable)]
-        points = enumerate(zip(self.r.tolist(), self.param.tolist()))
-        return [SweepRow(r, param, *pair, m[i], s[i]) for i, (r, param) in points for pair, m, s in pairs]
-
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every (criterion, direction) at every grid point, batched, in grid order."""
@@ -242,9 +227,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def write_sweep_csv(result: SweepResult, stream) -> None:
-    """Write a sweep under a header of the SweepRow field names, 9 significant digits, as
+    """Write a sweep under a header of the sweep fields, 9 significant digits, as
     csv.writer would (no field needs quoting; \\r\\n line ends), a batch of grid points at a time."""
-    stream.write(",".join(field.name for field in fields(SweepRow)) + "\r\n")
+    stream.write(",".join(_SWEEP_FIELDS) + "\r\n")
     labels = [f"{criterion},{DIRECTION_LABELS[direction]}," for criterion, direction in result.criteria]
     for start in range(0, len(result.r), _SWEEP_BATCH):
         part = slice(start, start + _SWEEP_BATCH)
@@ -255,6 +240,24 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
             for label, margins, flags in zip(labels, result.margins, result.steerable)
         ]
         stream.write("".join([point + cell for point, *cells in zip(points, *columns) for cell in cells]))
+
+
+def write_sweep_json(result: SweepResult, stream) -> None:
+    """Write a sweep as print(json.dumps(records, indent=2)) would for finite values and plain names, a batch at a time."""
+    labels = [f'    "criterion": "{criterion}",\n    "direction": "{DIRECTION_LABELS[direction]}",\n    "margin": '
+              for criterion, direction in result.criteria]
+    for start in range(0, len(result.r) if labels else 0, _SWEEP_BATCH):  # no pairs, no records
+        part = slice(start, start + _SWEEP_BATCH)
+        points = [f'  {{\n    "r": {r!r},\n    "param": {param!r},\n'
+                  for r, param in zip(result.r[part].tolist(), result.param[part].tolist())]
+        columns = [
+            [f'{label}{m!r},\n    "steerable": {"true" if s else "false"}\n  }}'
+             for m, s in zip(margins[part].tolist(), flags[part].tolist())]
+            for label, margins, flags in zip(labels, result.margins, result.steerable)
+        ]
+        stream.write(",\n" if start else "[\n")
+        stream.write(",\n".join([point + cell for point, *cells in zip(points, *columns) for cell in cells]))
+    stream.write("\n]\n" if len(result.r) and labels else "[]\n")
 
 
 def find_boundary(channel: str, r: float, criterion: str, direction: str) -> float | None:
@@ -339,9 +342,10 @@ def squeezing_range(
     for name, value in (("r_step", r_step), ("r_max", r_max)):
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    steps = int(r_max / r_step * (1.0 + 1e-12))
-    if not 1 <= steps <= MAX_GRID_POINTS:
-        raise ValueError(f"squeezing scan has {steps} points; it needs 1 to {MAX_GRID_POINTS}")
+    count = r_max / r_step * (1.0 + 1e-12)  # inf when the ratio overflows, so checked before int()
+    if not 1 <= count < MAX_GRID_POINTS + 1:
+        raise ValueError(f"squeezing scan has {np.floor(count):.16g} points; it needs 1 to {MAX_GRID_POINTS}")
+    steps = int(count)
     spec = _channel(channel)
     edge = spec.blind_edge.get(direction)
     if edge is None:

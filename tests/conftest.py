@@ -278,7 +278,14 @@ def reference_margin(channel: str, r: float, param: float, level: int, direction
         realigned = mpmath.matrix(level**2, level**2)
         for m, p, n, q in np.ndindex(block.shape):
             realigned[m * level + n, p * level + q] = block[m, p, n, q] - (p_a[m] * p_b[p] if (m, p) == (n, q) else 0)
-        trace_norm = mpmath.fsum(mpmath.svd_r(realigned, compute_uv=False))
+        try:
+            singular_values = mpmath.svd_r(realigned, compute_uv=False)
+        except RuntimeError:
+            # svd_r's convergence test can fail at one precision and hold at another, as at
+            # r=2.4693126541524966, G=1.0352422396122654, level 3, which converges at 40 and 60 digits.
+            with mpmath.workdps(60):
+                singular_values = mpmath.svd_r(realigned, compute_uv=False)
+        trace_norm = mpmath.fsum(singular_values)
         trusted, untrusted = (p_a, p_b) if direction == B_TO_A else (p_b, p_a)
         trusted_factor = mpmath.fsum(trusted) - mpmath.fsum(p**2 for p in trusted)
         untrusted_factor = level * mpmath.fsum(untrusted) - mpmath.fsum(p**2 for p in untrusted)

@@ -178,6 +178,7 @@ def test_rrange_without_blind_region_exits_3(capsys, channel, direction):
         (("--r-max", "inf"), "r_max must be finite and > 0, got inf"),
         (("--r-step", "0.5", "--r-max", "0.2"), "squeezing scan has 0 points; it needs 1 to 250000"),
         (("--r-step", "1e-9"), "squeezing scan has 1400000000 points; it needs 1 to 250000"),
+        (("--r-step", "1e-320", "--r-max", "1.4"), "squeezing scan has inf points; it needs 1 to 250000"),
     ],
 )
 def test_rrange_rejects_bad_scan_at_the_edge(capsys, flags, bad):
@@ -186,6 +187,20 @@ def test_rrange_rejects_bad_scan_at_the_edge(capsys, flags, bad):
     assert code == 2
     assert captured.err == f"error: {bad}\n"
     assert captured.out == ""
+
+
+def test_rrange_refuses_out_for_a_channel_without_an_eps_curve(monkeypatch, tmp_path, capsys):
+    def no_scan(*args):
+        raise AssertionError("scanned although --out was refused")
+
+    monkeypatch.setattr(scan, "batch_margins", no_scan)
+    out = tmp_path / "eps.csv"
+    code = run_cli("rrange", "--channel", "loss", "--level", "2", "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --out writes the eps curve, which the loss channel does not have\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_rrange_with_two_detected_runs_exits_2(monkeypatch, capsys):

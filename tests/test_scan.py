@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import mpmath
@@ -24,6 +25,7 @@ from cvsteer import (
     squeezing_range,
     tmsv_covariance,
     write_sweep_csv,
+    write_sweep_json,
 )
 from cvsteer import scan
 from cvsteer.scan import CRITERIA, DIRECTION_LABELS, batch_margins
@@ -167,12 +169,13 @@ def test_sweep_batches_join_seamlessly(monkeypatch):
 
 def test_sweep_rows_match_direct_evaluation():
     spec = small_spec()
-    rows = run_sweep(spec).rows()
-    assert len(rows) == 4 * 3 * 2
-    for row in rows:
-        verdict = evaluate_point(spec.channel, row.r, row.param, row.criterion, row.direction)
-        assert row.margin == pytest.approx(verdict.margin, abs=1e-12)
-        assert row.steerable == verdict.steerable
+    result = run_sweep(spec)
+    assert len(result.r) * len(result.margins) == 4 * 3 * 2
+    for pair, margins, flags in zip(result.criteria, result.margins, result.steerable):
+        for r, param, margin, steerable in zip(result.r, result.param, margins, flags):
+            verdict = evaluate_point(spec.channel, r, param, *pair)
+            assert margin == pytest.approx(verdict.margin, abs=1e-12)
+            assert steerable == verdict.steerable
 
 
 def test_sweep_deterministic():
@@ -181,21 +184,19 @@ def test_sweep_deterministic():
 
 
 def test_sweep_grid_order():
-    spec = small_spec()
-    rows = run_sweep(spec).rows()
-    coords = [(row.r, row.param) for row in rows[::2]]
-    assert coords == sorted(coords)
+    result = run_sweep(small_spec())
+    coords = list(zip(result.r.tolist(), result.param.tolist()))
+    assert coords == sorted(coords) and len(set(coords)) == 4 * 3
 
 
 def test_csv_format():
     spec = small_spec(r_range=(0.2, 0.4, 2), param_range=(0.3, 0.6, 2))
     result = run_sweep(spec)
-    rows = result.rows()
     buffer = io.StringIO()
     write_sweep_csv(result, buffer)
     lines = buffer.getvalue().strip().splitlines()
     assert lines[0] == "r,param,criterion,direction,margin,steerable"
-    assert len(lines) == 1 + len(rows)
+    assert len(lines) == 1 + 2 * 2 * 2
     first = lines[1].split(",")
     assert first[2] == "gaussian"
     assert first[3] == "b-to-a"
@@ -203,33 +204,70 @@ def test_csv_format():
     float(first[4])  # margin parses
 
 
+# Negative, e-notation and both-flag margins, and e-notation grid values, over five grid points.
+HAND_BUILT_SWEEP = SweepResult(
+    r=np.array([1e-9, 1e-9, 0.35, 0.35, 1.25]),
+    param=np.array([0.3, 2.5e-7, 0.3, 2.5e-7, 0.1]),
+    criteria=(("gaussian", B_TO_A), ("tloo-n3", A_TO_B)),
+    margins=(np.array([-0.125, 1.5e-12, 2.0e-10, 0.3333333333333, 0.0]),
+             np.array([-3.2e-17, MARGIN_TOL, 7.0, -1e22, 1e-300])),
+)
+
+
+def sweep_records(result):
+    """The records of a sweep in grid order, one per grid point and pair, with the sweep fields as keys."""
+    return [
+        {"r": r, "param": param, "criterion": criterion, "direction": DIRECTION_LABELS[direction],
+         "margin": margins[i], "steerable": flags[i]}
+        for i, (r, param) in enumerate(zip(result.r.tolist(), result.param.tolist()))
+        for (criterion, direction), margins, flags in zip(
+            result.criteria, [m.tolist() for m in result.margins], [s.tolist() for s in result.steerable])
+    ]
+
+
 def test_csv_bytes_match_csv_writer():
-    # Negative, e-notation and both-flag margins, and e-notation grid values.
-    result = SweepResult(
-        r=np.array([1e-9, 1e-9, 0.35, 0.35]),
-        param=np.array([0.3, 2.5e-7, 0.3, 2.5e-7]),
-        criteria=(("gaussian", B_TO_A), ("tloo-n3", A_TO_B)),
-        margins=(np.array([-0.125, 1.5e-12, 2.0e-10, 0.3333333333333]), np.array([-3.2e-17, MARGIN_TOL, 7.0, -1e22])),
-    )
+    result = HAND_BUILT_SWEEP
     flags = np.concatenate(result.steerable)
     assert flags.any() and not flags.all()
     reference = io.StringIO()
     writer = csv.writer(reference)
     writer.writerow(["r", "param", "criterion", "direction", "margin", "steerable"])
-    for row in result.rows():
-        writer.writerow([f"{row.r:.9g}", f"{row.param:.9g}", row.criterion, DIRECTION_LABELS[row.direction],
-                         f"{row.margin:.9g}", "true" if row.steerable else "false"])
+    for record in sweep_records(result):
+        writer.writerow([f"{record['r']:.9g}", f"{record['param']:.9g}", record["criterion"], record["direction"],
+                         f"{record['margin']:.9g}", "true" if record["steerable"] else "false"])
     buffer = io.StringIO()
     write_sweep_csv(result, buffer)
     assert buffer.getvalue().encode() == reference.getvalue().encode()
     assert "e-" in buffer.getvalue() and "e+22" in buffer.getvalue()
 
 
-def test_sweep_result_rows_follow_the_columns():
-    result = run_sweep(small_spec())
-    rows = result.rows()
-    assert [row.margin for row in rows[1::2]] == result.margins[1].tolist()
-    assert [row.steerable for row in rows[::2]] == (result.margins[0] > MARGIN_TOL).tolist()
+@pytest.mark.parametrize("batch", [2, scan._SWEEP_BATCH])
+def test_json_bytes_match_json_dumps(monkeypatch, batch):
+    # At 2 points per batch the five grid points take three batches, the last one short.
+    monkeypatch.setattr(scan, "_SWEEP_BATCH", batch)
+    buffer = io.StringIO()
+    write_sweep_json(HAND_BUILT_SWEEP, buffer)
+    assert buffer.getvalue().encode() == (json.dumps(sweep_records(HAND_BUILT_SWEEP), indent=2) + "\n").encode()
+    assert "e-" in buffer.getvalue() and "e+22" in buffer.getvalue() and "-0.125" in buffer.getvalue()
+    csv_buffer = io.StringIO()
+    write_sweep_csv(HAND_BUILT_SWEEP, csv_buffer)
+    header = csv_buffer.getvalue().splitlines()[0].split(",")
+    assert all(list(record) == header for record in json.loads(buffer.getvalue()))
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        SweepResult(np.array([0.1, 0.2]), np.array([0.5, 0.5]), (), ()),
+        SweepResult(np.array([]), np.array([]), (("gaussian", B_TO_A),), (np.array([]),)),
+    ],
+    ids=["no-pairs", "no-points"],
+)
+def test_json_of_an_empty_sweep_is_an_empty_list(monkeypatch, result):
+    monkeypatch.setattr(scan, "_SWEEP_BATCH", 1)
+    buffer = io.StringIO()
+    write_sweep_json(result, buffer)
+    assert buffer.getvalue() == json.dumps([], indent=2) + "\n" == "[]\n"
 
 
 def test_loss_sweep_detection_regions():
@@ -241,12 +279,11 @@ def test_loss_sweep_detection_regions():
         param_range=(0.1, 0.9, 9),
         criteria=(("gaussian", B_TO_A), ("tloo-n2", B_TO_A)),
     )
-    rows = run_sweep(spec).rows()
-    for row in rows:
-        if row.criterion == "gaussian":
-            assert row.steerable == (row.param > 0.5)
-    below = [r for r in rows if r.criterion == "tloo-n2" and r.param < 0.5 and r.steerable]
-    assert below and all(row.r < 0.9 for row in below)
+    result = run_sweep(spec)
+    gaussian, tloo = result.steerable
+    assert np.array_equal(gaussian, result.param > 0.5)
+    below = tloo & (result.param < 0.5)
+    assert below.any() and (result.r[below] < 0.9).all()
 
 
 def test_boundary_gaussian_loss():
@@ -356,6 +393,12 @@ def test_boundary_rejects_bad_squeezing():
 def test_squeezing_range_guard():
     with pytest.raises(ValueError):
         squeezing_range("loss", "gaussian", B_TO_A)
+
+
+def test_squeezing_range_refuses_a_point_count_that_overflows():
+    # 1.4 / 1e-320 is inf as a float, which int() cannot take.
+    with pytest.raises(ValueError, match="squeezing scan has inf points; it needs 1 to 250000"):
+        squeezing_range("loss", "tloo-n2", B_TO_A, r_step=1e-320, r_max=1.4)
 
 
 @pytest.mark.parametrize("channel, direction", [("loss", A_TO_B), ("gain", B_TO_A)])
