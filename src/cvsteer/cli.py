@@ -24,13 +24,12 @@ from .scan import (
     write_sweep_csv,
     write_sweep_json,
 )
-from .verdict import DIRECTION_LABELS
+from .verdict import B_TO_A, DIRECTIONS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_BOUNDARY = 3
 
-DIRECTION_FROM_LABEL = {label: direction for direction, label in DIRECTION_LABELS.items()}
 # TLOO level given by --level (None for --criterion gaussian) -> criterion name.
 CRITERION_AT_LEVEL = {level: name for name, level in CRITERIA.items()}
 
@@ -51,9 +50,9 @@ def _output(path):
 
 def cmd_sweep(args) -> int:
     if args.criterion is None:
-        criteria = tuple((criterion, direction) for criterion in CRITERIA for direction in DIRECTION_LABELS)
+        criteria = tuple((criterion, direction) for criterion in CRITERIA for direction in DIRECTIONS)
     else:
-        criteria = ((_criterion(args), DIRECTION_FROM_LABEL[args.direction]),)
+        criteria = ((_criterion(args), args.direction),)
     param_range = args.param_range or CHANNELS[args.channel].default_range
     result = run_sweep(SweepSpec(args.channel, tuple(args.r_range), tuple(param_range), criteria))
     with _output(args.out) as stream:
@@ -63,7 +62,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_boundary(args) -> int:
     criterion = _criterion(args)
-    boundary = find_boundary(args.channel, args.r, criterion, DIRECTION_FROM_LABEL[args.direction])
+    boundary = find_boundary(args.channel, args.r, criterion, args.direction)
     param_name, (lo, hi) = CHANNELS[args.channel].param, CHANNELS[args.channel].bracket
     with _output(args.out) as stream:
         if boundary is None:
@@ -78,10 +77,9 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_rrange(args) -> int:
-    direction = DIRECTION_FROM_LABEL[args.direction]
     if args.out and not CHANNELS[args.channel].eps_curve:
         raise ValueError(f"--out writes the eps curve, which the {args.channel} channel does not have")
-    result = squeezing_range(args.channel, _criterion(args), direction, r_step=args.r_step, r_max=args.r_max)
+    result = squeezing_range(args.channel, _criterion(args), args.direction, r_step=args.r_step, r_max=args.r_max)
     if not result.blind_region:
         print(f"no Gaussian-blind region for {args.channel} {args.direction}")
         return EXIT_NO_BOUNDARY
@@ -138,8 +136,7 @@ _COMMON = {
     "r": dict(type=float, required=True, help="squeezing parameter"),
     "level": dict(type=int, choices=[n for n in CRITERION_AT_LEVEL if n], default=2,
                   help="TLOO truncation level"),
-    "direction": dict(choices=tuple(DIRECTION_FROM_LABEL), default="b-to-a",
-                      help="steering direction to test"),
+    "direction": dict(choices=DIRECTIONS, default=B_TO_A, help="steering direction to test"),
     "criterion": dict(choices=("gaussian", "tloo"), help="criterion family"),
     "out": dict(help="output path ('-' or omitted for stdout)"),
     "format": dict(choices=("csv", "json"), default="csv", help="output format"),
@@ -204,10 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fock-dump" and args.channel != "none":
-        param = CHANNELS[args.channel].param
-        if getattr(args, param) is None:
-            parser.error(f"--{param} is required for the {args.channel} channel")
+    if args.command == "fock-dump":  # a channel's parameter is given exactly when that channel is chosen
+        for name, spec in CHANNELS.items():
+            given = getattr(args, spec.param) is not None
+            if given != (name == args.channel):
+                rule = "does not apply to" if given else "is required for"
+                parser.error(f"--{spec.param} {rule} the {args.channel} channel")
     try:
         return args.func(args)
     except ValueError as exc:

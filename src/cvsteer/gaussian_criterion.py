@@ -1,10 +1,10 @@
 """Steering criterion for Gaussian measurements, with analytic channel boundaries.
 
-Direction convention: the "BtoA" test asks whether the state is steerable from
+Direction convention: the B_TO_A test asks whether the state is steerable from
 B to A, i.e. whether measurements on the untrusted mode B can steer the trusted
 mode A.  It fails (state steerable) exactly when gamma + i*Omega_A (+) 0_B has
 a negative eigenvalue (Kogias, Lee, Ragy & Adesso, PRL 114, 060403 (2015));
-"AtoB" puts the symplectic block on mode B instead.  That matrix splits into
+A_TO_B puts the symplectic block on mode B instead.  That matrix splits into
 [[a - 1, c], [c, b]] and [[a + 1, c], [c, b]]; the margin is minus the smaller
 eigenvalue of the first, with a - 1 exact, so it is precise down to the vacuum.
 """

@@ -18,7 +18,7 @@ from .covariance import TwoModeCovariance, apply_gain, apply_loss, require_physi
 from .fock import fock_density
 from .gaussian_criterion import gaussian_gain_boundary, gaussian_loss_boundary, gaussian_margin
 from .tloo_criterion import correlation_matrix, tloo_margin
-from .verdict import A_TO_B, B_TO_A, DIRECTION_LABELS, DIRECTIONS, MARGIN_TOL, SteeringVerdict
+from .verdict import A_TO_B, B_TO_A, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
 # Criterion name -> TLOO truncation level (None: the Gaussian criterion).
 CRITERIA = {"gaussian": None, "tloo-n2": 2, "tloo-n3": 3}
@@ -32,7 +32,7 @@ class Channel:
     param: str  # name of the channel parameter
     bracket: tuple[float, float]  # parameter interval searched for boundaries
     default_range: tuple[float, float, int]  # default sweep grid of the parameter
-    # Direction -> parameters, as a function of a 1-D r, where the Gaussian criterion turns blind (no entry: never).
+    # B_TO_A or A_TO_B -> parameters, as a function of a 1-D r, where the Gaussian criterion turns blind (no entry: never).
     blind_edge: dict[str, Callable[[np.ndarray], np.ndarray]]
     eps_curve: bool  # the blind region lies above the edge; squeezing_range measures how far detection reaches
 
@@ -230,7 +230,7 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
     """Write a sweep under a header of the sweep fields, 9 significant digits, as
     csv.writer would (no field needs quoting; \\r\\n line ends), a batch of grid points at a time."""
     stream.write(",".join(_SWEEP_FIELDS) + "\r\n")
-    labels = [f"{criterion},{DIRECTION_LABELS[direction]}," for criterion, direction in result.criteria]
+    labels = [f"{criterion},{direction}," for criterion, direction in result.criteria]
     for start in range(0, len(result.r), _SWEEP_BATCH):
         part = slice(start, start + _SWEEP_BATCH)
         points = [f"{r:.9g},{param:.9g}," for r, param in zip(result.r[part].tolist(), result.param[part].tolist())]
@@ -244,7 +244,7 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
 
 def write_sweep_json(result: SweepResult, stream) -> None:
     """Write a sweep as print(json.dumps(records, indent=2)) would for finite values and plain names, a batch at a time."""
-    labels = [f'    "criterion": "{criterion}",\n    "direction": "{DIRECTION_LABELS[direction]}",\n    "margin": '
+    labels = [f'    "criterion": "{criterion}",\n    "direction": "{direction}",\n    "margin": '
               for criterion, direction in result.criteria]
     for start in range(0, len(result.r) if labels else 0, _SWEEP_BATCH):  # no pairs, no records
         part = slice(start, start + _SWEEP_BATCH)
@@ -331,9 +331,11 @@ def squeezing_range(
 
     Scans the points k * r_step <= r_max, k >= 1 (1 to MAX_GRID_POINTS of
     them; a point within rounding of r_max counts); only the TLOO criteria are
-    meaningful here.  One find_roots search, from the margins the scan and the
-    gain walk hold, refines both ends of detection and every eps point.
-    Raises if the detected points are not one run, naming the first gap.
+    meaningful here.  One find_roots search refines both ends of detection and
+    every eps point, from the margins of the scan and, under gain, of one batch
+    0.5 above the Gaussian boundary, which brackets every eps (all below 0.06).
+    Raises if the detected points are not one run, naming the first gap, or
+    if a margin 0.5 above the boundary is positive.
     """
     if CRITERIA.get(criterion) is None:
         raise ValueError(f"squeezing-range scan requires a TLOO criterion, got {criterion!r}")
@@ -381,20 +383,12 @@ def squeezing_range(
     xtol = [1e-6, 1e-6]
     if spec.eps_curve:
         boundary = params[detected]
-        # Walk each detected r up in 0.5 steps until the margin turns non-positive
-        # inside the parameter bracket; the eps search runs between boundary and that point.
-        top, walked, f_walked = spec.bracket[1], boundary + 0.5, np.empty(r_hit.size)
-        walking, stuck = np.arange(r_hit.size), []
-        while walking.size:
-            f_walked[walking] = margins(walking + 2, walked[walking])
-            walking = walking[f_walked[walking] > 0.0]
-            stuck += walking[walked[walking] >= top].tolist()
-            walking = walking[walked[walking] < top]
-            walked[walking] = np.minimum(walked[walking] + 0.5, top)
-        if stuck:
-            raise ValueError(f"{criterion} margin stays positive up to {spec.param} {top} at r={r_hit[min(stuck)]:.9g}")
-        lo, hi = np.concatenate([lo, boundary]), np.concatenate([hi, walked])
-        f_lo, f_hi = np.concatenate([f_lo, scanned[detected]]), np.concatenate([f_hi, f_walked])
+        f_top = margins(np.arange(2, r_hit.size + 2), boundary + 0.5)
+        if (f_top > 0.0).any():
+            r = r_hit[np.argmax(f_top > 0.0)]
+            raise ValueError(f"{criterion} margin is positive 0.5 above the Gaussian boundary at r={r:.9g}")
+        lo, hi = np.concatenate([lo, boundary]), np.concatenate([hi, boundary + 0.5])
+        f_lo, f_hi = np.concatenate([f_lo, scanned[detected]]), np.concatenate([f_hi, f_top])
         xtol += [ROOT_XTOL] * r_hit.size
     roots = find_roots(margins, lo, hi, xtol, ends=(f_lo, f_hi))
     r_low, r_high = roots[:2].tolist()

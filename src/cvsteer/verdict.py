@@ -6,11 +6,10 @@ from dataclasses import dataclass
 # are conservative at criterion boundaries.
 MARGIN_TOL = 1e-10
 
-B_TO_A = "BtoA"
-A_TO_B = "AtoB"
+# The directions, spelt as the command line takes them and sweep output writes them.
+B_TO_A = "b-to-a"
+A_TO_B = "a-to-b"
 DIRECTIONS = (B_TO_A, A_TO_B)
-# Names of the directions on the command line and in sweep output.
-DIRECTION_LABELS = {B_TO_A: "b-to-a", A_TO_B: "a-to-b"}
 
 
 @dataclass(frozen=True)

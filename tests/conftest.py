@@ -311,10 +311,11 @@ def reference_squeezing_range(channel: str, criterion: str, direction: str, r_st
     """squeezing_range by separate root searches, each evaluating its own bracket ends.
 
     The oracle for the single search of scan.squeezing_range, which starts from the
-    margins its scan and walk already hold: the ends where detection flips are
-    searched first, then each detected r is walked up in 0.5 steps, then the eps
-    points are searched, all through the public find_roots.  Margins are
-    batch-invariant, so the two agree bit for bit.  Takes a scan with a detection.
+    margins its scan and its one batch at 0.5 above the Gaussian boundary already
+    hold: the ends where detection flips are searched first, then each detected r
+    is walked up in 0.5 steps until the margin is non-positive, then the eps points
+    are searched, all through the public find_roots.  Margins are batch-invariant,
+    so the two agree bit for bit.  Takes a scan with a detection.
     """
     spec, pair = scan.CHANNELS[channel], ((criterion, direction),)
     edge = spec.blind_edge[direction]

@@ -8,8 +8,18 @@ import numpy as np
 import pytest
 
 from conftest import lossy_tmsv_element
-from cvsteer import scan
-from cvsteer.cli import main
+from cvsteer import (
+    A_TO_B,
+    B_TO_A,
+    build_witness,
+    channel_covariance,
+    evaluate_point,
+    fock_density,
+    scan,
+    squeezing_range,
+)
+from cvsteer.cli import build_parser, main
+from cvsteer.verdict import DIRECTIONS
 
 # Sweep CSVs written by the per-point engine that preceded batched evaluation
 # (commit 9d6e174); the batched engine must reproduce them byte for byte.
@@ -444,6 +454,49 @@ def test_fock_dump_requires_channel_param(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("fock-dump", "--channel", "loss", "--r", "0.5")
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("--eta", "0.5"), "--eta does not apply to the none channel", id="none-eta"),
+        pytest.param(("--gain", "1.1"), "--gain does not apply to the none channel", id="none-gain"),
+        pytest.param(("--channel", "loss", "--eta", "0.5", "--gain", "3"), "--gain does not apply to the loss channel",
+                     id="loss-gain"),
+        pytest.param(("--channel", "gain", "--gain", "1.1", "--eta", "0.5"), "--eta does not apply to the gain channel",
+                     id="gain-eta"),
+    ],
+)
+def test_fock_dump_refuses_another_channels_param(capsys, argv, message):
+    # fock-dump used to take the parameter and never read it.
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("fock-dump", "--r", "0.3", *argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.err.endswith(f"error: {message}\n")
+    assert captured.out == ""
+
+
+def test_one_spelling_per_direction(tmp_path):
+    # The library, the command line and both sweep formats spell a direction the same way.
+    witness = build_witness(fock_density(channel_covariance("gain", 0.3, 1.02), 3, 3), 2, 2, A_TO_B)
+    assert {
+        evaluate_point("loss", 0.4, 0.45, "tloo-n2", B_TO_A).direction,
+        squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.5).direction,
+        witness.direction,
+    } == set(DIRECTIONS)
+    grid = ("--r-range", "0.2", "0.4", "2", "--param-range", "0.3", "0.6", "2")
+    csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    assert run_cli("sweep", "--channel", "loss", *grid, "--out", str(csv_path)) == 0
+    assert run_cli("sweep", "--channel", "loss", *grid, "--format", "json", "--out", str(json_path)) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 2 * 6 and {row[3] for row in rows} == set(DIRECTIONS)
+    assert {record["direction"] for record in json.loads(json_path.read_text())} == set(DIRECTIONS)
+    (subcommands,) = [action.choices for action in build_parser()._actions if action.dest == "command"]
+    choices = {name: action.choices for name, sub in subcommands.items()
+               for action in sub._actions if action.dest == "direction"}
+    assert sorted(choices) == ["boundary", "rrange", "sweep"]
+    assert all(tuple(directions) == DIRECTIONS for directions in choices.values())
 
 
 def test_invalid_subcommand(capsys):

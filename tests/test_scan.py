@@ -28,11 +28,16 @@ from cvsteer import (
     write_sweep_json,
 )
 from cvsteer import scan
-from cvsteer.scan import CRITERIA, DIRECTION_LABELS, batch_margins
+from cvsteer.scan import CRITERIA, DIRECTIONS, batch_margins
 
-ALL_PAIRS = tuple((criterion, direction) for criterion in CRITERIA for direction in DIRECTION_LABELS)
+ALL_PAIRS = tuple((criterion, direction) for criterion in CRITERIA for direction in DIRECTIONS)
 
 GAIN_BOUNDARY_R05 = 1.2135522670340726
+
+
+def direction_id(value):
+    """Parametrize ids name the directions BtoA and AtoB, so each case keeps the id earlier runs recorded."""
+    return {B_TO_A: "BtoA", A_TO_B: "AtoB"}.get(value)
 
 
 def small_spec(**overrides):
@@ -134,7 +139,7 @@ def test_batch_margins_match_oracles():
     margins = dict(zip(ALL_PAIRS, batch_margins("loss", rs, etas, ALL_PAIRS)))
     checked = 0
     for i, (r, eta) in enumerate(zip(rs, etas)):
-        for direction in DIRECTION_LABELS:
+        for direction in DIRECTIONS:
             for level in (2, 3):
                 reference = basis_free_tloo_margin(r, eta, level, direction)
                 assert margins[(f"tloo-n{level}", direction)][i] == pytest.approx(reference, abs=1e-10)
@@ -217,7 +222,7 @@ HAND_BUILT_SWEEP = SweepResult(
 def sweep_records(result):
     """The records of a sweep in grid order, one per grid point and pair, with the sweep fields as keys."""
     return [
-        {"r": r, "param": param, "criterion": criterion, "direction": DIRECTION_LABELS[direction],
+        {"r": r, "param": param, "criterion": criterion, "direction": direction,
          "margin": margins[i], "steerable": flags[i]}
         for i, (r, param) in enumerate(zip(result.r.tolist(), result.param.tolist()))
         for (criterion, direction), margins, flags in zip(
@@ -336,6 +341,7 @@ def test_find_boundary_is_pinned(r, loss, gain):
         ("loss", "gaussian", B_TO_A, 0.3, 0.5000000000000001, 4),
         ("gain", "gaussian", A_TO_B, 1e-4, 1.0000000108333322, 7),
     ],
+    ids=direction_id,
 )
 def test_find_boundary_searches_from_its_pre_scan(monkeypatch, channel, criterion, direction, r, expected, batches):
     # The pre-scan grid holds the margins at the bracket ends, so the search evaluates
@@ -401,7 +407,7 @@ def test_squeezing_range_refuses_a_point_count_that_overflows():
         squeezing_range("loss", "tloo-n2", B_TO_A, r_step=1e-320, r_max=1.4)
 
 
-@pytest.mark.parametrize("channel, direction", [("loss", A_TO_B), ("gain", B_TO_A)])
+@pytest.mark.parametrize("channel, direction", [("loss", A_TO_B), ("gain", B_TO_A)], ids=direction_id)
 def test_squeezing_range_without_blind_region(monkeypatch, channel, direction):
     # The Gaussian criterion detects loss A->B and gain B->A at every channel
     # parameter (Kogias et al., PRL 114, 060403), so nothing is scanned.
@@ -436,13 +442,22 @@ def test_squeezing_range_gain_two_level_coarse():
         assert evaluate_point("gain", r, boundary + eps / 2, "tloo-n2", A_TO_B).steerable
 
 
-def test_squeezing_range_gain_walk_is_capped(monkeypatch):
+def test_squeezing_range_refuses_a_margin_positive_past_the_eps_bracket(monkeypatch):
     def always_positive(channel, rs, params, criteria):
         return [np.ones(len(rs)) for _ in criteria]
 
     monkeypatch.setattr(scan, "batch_margins", always_positive)
-    with pytest.raises(ValueError, match="stays positive up to gain 6"):
+    with pytest.raises(ValueError, match=r"^tloo-n2 margin is positive 0.5 above the Gaussian boundary at r=0.1$"):
         squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.2)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_gain_margin_is_negative_half_above_the_gaussian_boundary(level):
+    # squeezing_range brackets every eps point in [G*, G* + 0.5] from one batch at G* + 0.5;
+    # detection reaches at most about 0.05 past G*, and the margin at G* + 0.5 stays negative.
+    rs = np.geomspace(1e-6, 5.0, 400)
+    (margins,) = batch_margins("gain", rs, gaussian_gain_boundary(rs) + 0.5, ((f"tloo-n{level}", A_TO_B),))
+    assert (margins < 0.0).all()
 
 
 def test_squeezing_range_reports_a_second_run(monkeypatch):
@@ -495,7 +510,8 @@ def test_squeezing_range_gain_edge_is_looked_up_at_call_time(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("channel, criterion, direction, most", [("loss", "tloo-n3", B_TO_A, 5), ("gain", "tloo-n2", A_TO_B, 10)])
+@pytest.mark.parametrize("channel, criterion, direction, most", [("loss", "tloo-n3", B_TO_A, 5), ("gain", "tloo-n2", A_TO_B, 10)],
+                         ids=direction_id)
 def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterion, direction, most):
     # Most of a margin batch's cost is fixed, so the batch count sets a search's cost.
     # Halving every bracket down to its tolerance takes 17 batches for loss and 45 for gain here,
@@ -515,9 +531,10 @@ def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterio
 @pytest.mark.parametrize(
     "channel, criterion, direction",
     [("loss", "tloo-n2", B_TO_A), ("loss", "tloo-n3", B_TO_A), ("gain", "tloo-n2", A_TO_B), ("gain", "tloo-n3", A_TO_B)],
+    ids=direction_id,
 )
 def test_squeezing_range_equals_separate_searches(channel, criterion, direction, r_step):
-    # One search from the margins the scan and walk hold sees the floats the separate
+    # One search from the margins the scan and the batch at G* + 0.5 hold sees the floats the separate
     # searches saw, since margins are batch-invariant.
     result = squeezing_range(channel, criterion, direction, r_step=r_step, r_max=1.22)
     assert result.detected
