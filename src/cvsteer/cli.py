@@ -134,12 +134,10 @@ def cmd_fock_dump(args) -> int:
 
 _COMMON = {
     "r": dict(type=float, required=True, help="squeezing parameter"),
-    "level": dict(type=int, choices=[n for n in CRITERION_AT_LEVEL if n], default=2,
-                  help="TLOO truncation level"),
-    "direction": dict(choices=DIRECTIONS, default=B_TO_A, help="steering direction to test"),
+    "level": dict(type=int, choices=[n for n in CRITERION_AT_LEVEL if n], help="TLOO truncation level (default 2)"),
+    "direction": dict(choices=DIRECTIONS, help=f"steering direction to test (default {B_TO_A})"),
     "criterion": dict(choices=("gaussian", "tloo"), help="criterion family"),
     "out": dict(help="output path ('-' or omitted for stdout)"),
-    "format": dict(choices=("csv", "json"), default="csv", help="output format"),
 }
 
 
@@ -163,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(0.05, 1.4, 120), help="squeezing grid")
     p.add_argument("--param-range", nargs=3, type=float, metavar=("MIN", "MAX", "STEPS"),
                    help="channel parameter grid (default depends on channel)")
-    _add_common(p, "level", "direction", "criterion", "out", "format")
+    _add_common(p, "level", "direction", "criterion", "out")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("boundary", help="find the channel parameter where a criterion flips")
@@ -182,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rrange)
 
     p = sub.add_parser("monogamy", help="simultaneous Bob/Eve steering for a beamsplitter split")
-    _add_common(p, "r", "out", "format")
+    _add_common(p, "r", "out")
+    p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p.add_argument("--eta", type=float, required=True, help="Bob's transmittance in (0, 1)")
     p.set_defaults(func=cmd_monogamy)
 
@@ -207,6 +207,14 @@ def main(argv=None) -> int:
             if given != (name == args.channel):
                 rule = "does not apply to" if given else "is required for"
                 parser.error(f"--{spec.param} {rule} the {args.channel} channel")
+    if args.command in ("sweep", "boundary"):  # a TLOO criterion reads --level, a single criterion --direction
+        for name, read in (("level", args.criterion == "tloo"), ("direction", args.criterion is not None)):
+            if getattr(args, name) is not None and not read:
+                parser.error(f"--{name} does not apply to "
+                             + (f"the {args.criterion} criterion" if args.criterion else "a sweep of every criterion"))
+    for name, default in (("level", 2), ("direction", B_TO_A)):  # after the check, which must see what was given
+        if getattr(args, name, default) is None:
+            setattr(args, name, default)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -213,12 +213,6 @@ class SweepResult:
     def steerable(self) -> tuple[np.ndarray, ...]:
         return tuple(margin > MARGIN_TOL for margin in self.margins)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SweepResult) or self.criteria != other.criteria:
-            return False
-        mine, theirs = (self.r, self.param, *self.margins), (other.r, other.param, *other.margins)
-        return all(np.array_equal(a, b) for a, b in zip(mine, theirs))
-
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every (criterion, direction) at every grid point, batched, in grid order."""

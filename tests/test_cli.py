@@ -25,6 +25,8 @@ from cvsteer.verdict import DIRECTIONS
 # (commit 9d6e174); the batched engine must reproduce them byte for byte.
 DATA = Path(__file__).parent / "data"
 
+SMALL_GRID = ("--r-range", "0.2", "0.4", "2", "--param-range", "0.3", "0.6", "2")
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -485,10 +487,9 @@ def test_one_spelling_per_direction(tmp_path):
         squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.5).direction,
         witness.direction,
     } == set(DIRECTIONS)
-    grid = ("--r-range", "0.2", "0.4", "2", "--param-range", "0.3", "0.6", "2")
     csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
-    assert run_cli("sweep", "--channel", "loss", *grid, "--out", str(csv_path)) == 0
-    assert run_cli("sweep", "--channel", "loss", *grid, "--format", "json", "--out", str(json_path)) == 0
+    assert run_cli("sweep", "--channel", "loss", *SMALL_GRID, "--out", str(csv_path)) == 0
+    assert run_cli("sweep", "--channel", "loss", *SMALL_GRID, "--format", "json", "--out", str(json_path)) == 0
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
     assert len(rows) == 2 * 2 * 6 and {row[3] for row in rows} == set(DIRECTIONS)
     assert {record["direction"] for record in json.loads(json_path.read_text())} == set(DIRECTIONS)
@@ -517,10 +518,119 @@ def test_cli_value_errors_map_to_usage_exit(capsys):
                    "--criterion", "gaussian") == 2
 
 
-def test_cli_runs_without_scipy():
-    # numpy is the only runtime dependency: importing the command line must not load scipy.
-    code = "import sys, cvsteer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout == "[]\n"
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("sweep", "--channel", "loss", *SMALL_GRID, "--level", "3"),
+                     "--level does not apply to a sweep of every criterion", id="sweep-level"),
+        pytest.param(("sweep", "--channel", "loss", *SMALL_GRID, "--direction", "a-to-b"),
+                     "--direction does not apply to a sweep of every criterion", id="sweep-direction"),
+        pytest.param(("sweep", "--channel", "loss", *SMALL_GRID, "--criterion", "gaussian", "--level", "3"),
+                     "--level does not apply to the gaussian criterion", id="sweep-gaussian-level"),
+        pytest.param(("boundary", "--channel", "loss", "--r", "0.4", "--criterion", "gaussian", "--level", "3"),
+                     "--level does not apply to the gaussian criterion", id="boundary-gaussian-level"),
+        pytest.param(("boundary", "--channel", "loss", "--r", "0.4", "--level", "2"),
+                     "--level does not apply to the gaussian criterion", id="boundary-default-level"),
+        pytest.param(("monogamy", "--r", "0.4", "--eta", "0.55", "--format", "csv"), "invalid choice: 'csv'",
+                     id="monogamy-csv"),
+    ],
+)
+def test_flags_that_nothing_reads_are_refused(capsys, argv, message):
+    # Each of these used to exit 0: the sweep wrote every pair, the Gaussian criterion has no level,
+    # and monogamy printed its text under the csv label.
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_level_and_direction_keep_their_defaults_where_read(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--channel", "loss", *SMALL_GRID, "--criterion", "tloo", "--out", str(out))
+    assert code == 0
+    assert {tuple(line.split(",")[2:4]) for line in out.read_text().splitlines()[1:]} == {("tloo-n2", B_TO_A)}
+
+
+# Every subcommand call of the numpy-only check below, with its exit code; --out paths are
+# relative to that check's working directory.
+NUMPY_ONLY_CALLS = [
+    (("sweep", "--channel", "loss", "--r-range", "0.1", "1.0", "3", "--param-range", "0.3", "0.9", "3",
+      "--out", "loss.csv"), 0),
+    (("sweep", "--channel", "gain", "--r-range", "0.1", "1.0", "3", "--param-range", "1.0", "1.6", "3",
+      "--out", "gain.csv"), 0),
+    (("sweep", "--channel", "loss", "--r-range", "0.1", "1.0", "3", "--param-range", "0.3", "0.9", "3",
+      "--format", "json", "--out", "loss.json"), 0),
+    (("rrange", "--channel", "loss", "--r-step", "1e-320"), 2),
+    (("rrange", "--channel", "loss", "--level", "2", "--r-step", "0.1", "--r-max", "1.0"), 0),
+    (("rrange", "--channel", "gain", "--level", "2", "--direction", "a-to-b", "--r-step", "0.1", "--r-max", "1.0"), 0),
+    (("boundary", "--channel", "loss", "--r", "0.4", "--criterion", "tloo"), 0),
+    (("monogamy", "--r", "0.4", "--eta", "0.55"), 0),
+    (("monogamy", "--r", "0.4", "--eta", "0.55", "--format", "json"), 0),
+    (("fock-dump", "--channel", "gain", "--r", "5", "--gain", "10", "--cutoffs", "7", "7",
+      "--out", "fock-gain.json"), 0),
+    (("fock-dump", "--channel", "loss", "--r", "5", "--eta", "0.05", "--cutoffs", "7", "7",
+      "--out", "fock-loss.json"), 0),
+    (("fock-dump", "--r", "0.3", "--eta", "0.5"), 2),
+]
+
+# Run by a fresh `python -W error`: every demo, every call above, the witness at equal and unequal
+# levels and the refusal of an asymmetric and of a complex Fock array; its last line reports them.
+NUMPY_ONLY_SCRIPT = """
+import json, runpy, sys
+import numpy as np
+from cvsteer import FockDensity, apply_loss, build_witness, fock_density, tmsv_covariance
+from cvsteer.cli import main
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+def refused(elements):
+    try:
+        FockDensity.from_elements(elements)
+    except ValueError:
+        return True
+    return False
+
+demos, calls = json.loads(sys.argv[1])
+for path in demos:
+    runpy.run_path(path, run_name="__main__")
+codes = [exit_code(argv) for argv in calls]
+witnesses = [build_witness(fock_density(apply_loss(tmsv_covariance(0.4), eta, "B"), 3, 3), *levels)
+             for eta, levels in ((0.45, (2, 2)), (0.7, (2, 3)))]
+asymmetric = np.zeros((2, 2, 2, 2))
+asymmetric[0, 1, 1, 0] = 1e-3
+complex_hermitian = np.zeros((2, 2, 2, 2), dtype=complex)
+complex_hermitian[0, 0, 0, 0] = complex_hermitian[1, 1, 1, 1] = 0.5
+complex_hermitian[0, 0, 1, 1], complex_hermitian[1, 1, 0, 0] = 0.5j, -0.5j
+print(json.dumps({
+    "codes": codes,
+    "witnesses_detect": [bool(w.variance_sum < w.bound) for w in witnesses],
+    "refused": [refused(asymmetric), refused(complex_hermitian)],
+    "oracles_loaded": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy", "mpmath", "hypothesis")),
+}))
+"""
+
+
+def test_package_and_demos_run_on_numpy_alone(tmp_path):
+    # numpy is the only runtime dependency; scipy, sympy, mpmath and hypothesis are test oracles.
+    # Any import of one, at the top, inside a function or guarded by try, loads it here, where all
+    # four are installed. The demos write their files into tmp_path.
+    root = Path(__file__).resolve().parents[1]
+    demos = sorted(str(path) for path in (root / "demos").glob("*.py"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    payload = json.dumps([demos, [argv for argv, _ in NUMPY_ONLY_CALLS]])
+    result = subprocess.run([sys.executable, "-W", "error", "-c", NUMPY_ONLY_SCRIPT, payload],
+                            cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert demos and (tmp_path / "loss_detection_map.csv").exists()
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "codes": [code for _, code in NUMPY_ONLY_CALLS],
+        "witnesses_detect": [True, True],
+        "refused": [True, True],
+        "oracles_loaded": [],
+    }
