@@ -44,7 +44,11 @@ def _output(path):
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as stream:
+        try:
+            stream = open(path, "w", encoding="utf-8")
+        except OSError as exc:  # only the open: a broken stdout pipe is not an invalid argument
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+        with stream:
             yield stream
 
 

@@ -13,7 +13,7 @@ then antisymmetric pairs in the same order.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,12 +29,6 @@ class TlooSet:
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
-
-    @cached_property
-    def flat_transposed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Re and Im of the (n^2, n^2) matrix whose row j, the flattened A_j^T, maps vec(X) to Tr(A_j X)."""
-        flat = self.matrices.transpose(0, 2, 1).reshape(len(self), -1)
-        return np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
 
     def pair_labels(self) -> list[str]:
         """Human-readable labels in canonical order (diagnostics only)."""

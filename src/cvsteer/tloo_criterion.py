@@ -7,33 +7,30 @@ model for the untrusted mode must satisfy
     ||C||_tr <= sqrt((w_A - sum <A_i>^2) * (n' * w_B - sum <B_j>^2))
 
 where w_A, w_B are the weights on the truncated levels; the trusted factor
-carries no level multiplier while the untrusted one does.  For any TLOO set
-sum <A_i>^2 = Tr rho_A^2, so the trusted factor is evaluated as
-Tr rho_A - Tr rho_A^2, which does not cancel on a near-vacuum marginal.
+carries no level multiplier while the untrusted one does.  Neither side needs
+an observable basis: C = T_a K T_b^T with T_a, T_b unitary and K the realigned
+covariance block, and sum <A_i>^2 = Tr rho_A^2 for any TLOO set, so the trusted
+factor Tr rho_A - Tr rho_A^2 does not cancel on a near-vacuum marginal.
 Violations come with an explicit witness: rotating both observable sets by the
 singular-value factors of C concentrates all correlation on the diagonal, where
 a single linear-estimate variance sum beats its uncertainty bound.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .fock import FockDensity
-from .observables import TlooSet, _variances, build_tloos, expectation_values, rotate_tloos, uncertainty_sum
+from .observables import TlooSet, _variances, build_tloos, rotate_tloos, uncertainty_sum
 from .verdict import A_TO_B, B_TO_A, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """TLOO covariances of a two-mode state (or a batch), the observable sets they were taken on and the local data."""
+    """Realigned covariance block K of a two-mode state (or a batch), the observable sets and the local data."""
 
-    entries: np.ndarray  # (level_a**2, level_b**2), real
-    mean_a: np.ndarray
-    mean_b: np.ndarray
-    weight_a: float | np.ndarray
-    weight_b: float | np.ndarray
+    block: np.ndarray  # K[(m n), (p q)] = <m p|rho|n q> - <m|rho_A|n><p|rho_B|q>, real, (m n) in _gap_order
     tloos_a: TlooSet
     tloos_b: TlooSet
     reduced_a: np.ndarray  # (level_a, level_a) truncated reduced state
@@ -43,21 +40,41 @@ class CorrelationMatrix:
 
     @cached_property
     def trace_norm(self):
-        return np.linalg.svd(self.entries, compute_uv=False).sum(axis=-1)
+        return np.linalg.svd(self.block, compute_uv=False).sum(axis=-1)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """TLOO covariances C_ij = <A_i x B_j> - <A_i><B_j> = (T_a K T_b^T)_ij, T[j, (m n)] = <n|A_j|m>."""
+        (m_a, n_a), (m_b, n_b) = _gap_order(self.tloos_a.level), _gap_order(self.tloos_b.level)
+        t_a, t_b = self.tloos_a.matrices[:, n_a, m_a], self.tloos_b.matrices[:, n_b, m_b]
+        return (t_a @ self.block @ t_b.T).real
 
     def variance_sum_a(self):
-        """Sum of local variances over the A-side set (completeness identity)."""
-        return self.tloos_a.level * self.weight_a - (self.mean_a**2).sum(axis=-1)
+        """Sum of local variances over any A-side set: level * Tr rho_A - Tr rho_A^2 (completeness identity)."""
+        return _variance_sum(self.reduced_a)
 
     def variance_sum_b(self):
-        return self.tloos_b.level * self.weight_b - (self.mean_b**2).sum(axis=-1)
+        return _variance_sum(self.reduced_b)
 
     def trusted_factor_a(self):
-        """Tr rho_A - Tr rho_A^2 on the truncated levels (= weight_a - sum of squared means)."""
+        """Tr rho_A - Tr rho_A^2 on the truncated levels."""
         return _trusted_factor(self.reduced_a, self.excited_a)
 
     def trusted_factor_b(self):
         return _trusted_factor(self.reduced_b, self.excited_b)
+
+
+@cache
+def _gap_order(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) of each realigned index by its gap n - m: K of a fock_density state, zero off m1 - m2 = n1 - n2,
+    is then block-diagonal, which the SVD is fast on; a permutation keeps the singular values of every state."""
+    m, n = np.divmod(np.arange(level * level), level)
+    order = np.argsort(n - m, kind="stable")
+    return m[order], n[order]
+
+
+def _variance_sum(reduced: np.ndarray):
+    return reduced.shape[-1] * np.trace(reduced, axis1=-2, axis2=-1) - (reduced**2).sum(axis=(-2, -1))
 
 
 def _trusted_factor(reduced: np.ndarray, excited):
@@ -79,38 +96,24 @@ def correlation_matrix(
     """Assemble the correlation matrix for the given truncation levels.
 
     The observables act inside the cutoffs, so the joint expectations are
-    exact functions of the truncated elements; the local means and weights
-    come from the exact reduced states carried by rho.  Alternative (e.g.
-    rotated) observable sets may be supplied.  The elements are real and
-    symmetric under (m1, m2) <-> (n1, n2), as FockDensity requires, so every
-    joint expectation is real and only its real part is computed.
+    exact functions of the truncated elements; the local terms come from the
+    exact reduced states carried by rho.  The realigned block is taken with
+    one index into the elements, which FockDensity keeps real.  Alternative
+    (e.g. rotated) observable sets may be supplied; the margin reads none.
     """
     tloos_a = tloos_a if tloos_a is not None else build_tloos(level_a)
     tloos_b = tloos_b if tloos_b is not None else build_tloos(level_b)
     if tloos_a.level != level_a or tloos_b.level != level_b:
         raise ValueError("observable sets do not match the requested levels")
-    n_a, n_b = rho.cutoffs
-    if level_a > n_a or level_b > n_b:
-        raise ValueError(
-            f"truncation levels ({level_a}, {level_b}) exceed density cutoffs ({n_a}, {n_b})"
-        )
+    if level_a > rho.cutoffs[0] or level_b > rho.cutoffs[1]:
+        raise ValueError(f"truncation levels ({level_a}, {level_b}) exceed density cutoffs {rho.cutoffs}")
 
-    # Tr(rho A_i x B_j) = (T_a M T_b^T)_ij, M[(m n), (p q)] = <m p|rho|n q> real, T the flattened
-    # transposes, as real matmuls: Re(T_a) M Re(T_b)^T - Im(T_a) M Im(T_b)^T, the imaginary part being zero.
-    block = rho.elements[..., :level_a, :level_b, :level_a, :level_b]
-    joint = block.swapaxes(-3, -2).reshape(*block.shape[:-4], level_a**2, level_b**2)
-    (re_a, im_a), (re_b, im_b) = tloos_a.flat_transposed, tloos_b.flat_transposed
-    entries = re_a @ (joint @ re_b.T) - im_a @ (joint @ im_b.T)
+    (m_a, n_a), (m_b, n_b) = _gap_order(level_a), _gap_order(level_b)
     red_a = rho.reduced_a[..., :level_a, :level_a]
     red_b = rho.reduced_b[..., :level_b, :level_b]
-    mean_a = expectation_values(red_a, tloos_a)
-    mean_b = expectation_values(red_b, tloos_b)
-    entries -= mean_a[..., :, None] * mean_b[..., None, :]
-    weight_a = np.trace(red_a, axis1=-2, axis2=-1).real
-    weight_b = np.trace(red_b, axis1=-2, axis2=-1).real
-    return CorrelationMatrix(
-        entries, mean_a, mean_b, weight_a, weight_b, tloos_a, tloos_b, red_a, red_b, rho.excited_a, rho.excited_b
-    )
+    block = rho.elements[..., m_a[:, None], m_b, n_a[:, None], n_b]
+    block -= red_a[..., m_a, n_a][..., :, None] * red_b[..., m_b, n_b][..., None, :]
+    return CorrelationMatrix(block, tloos_a, tloos_b, red_a, red_b, rho.excited_a, rho.excited_b)
 
 
 def criterion_rhs(corr: CorrelationMatrix, direction: str = B_TO_A):

@@ -295,9 +295,10 @@ def reference_margin(channel: str, r: float, param: float, level: int, direction
 def einsum_correlation_entries(rho: FockDensity, tloos_a: TlooSet, tloos_b: TlooSet) -> np.ndarray:
     """TLOO covariances from one complex three-operand einsum over the Fock block.
 
-    The oracle for correlation_matrix's real matmuls: it contracts the
-    elements with both observable sets in the original index layout and keeps
-    the real part.
+    The oracle for CorrelationMatrix.entries, which maps the realigned block to
+    the observable sets: it contracts the elements with both sets in the
+    original index layout, subtracts the products of the sets' means and keeps
+    the real part, and its singular values are those of the trace norm.
     """
     level_a, level_b = tloos_a.level, tloos_b.level
     block = rho.elements[..., :level_a, :level_b, :level_a, :level_b]

@@ -16,6 +16,7 @@ from cvsteer import (
     build_tloos,
     build_witness,
     correlation_matrix,
+    expectation_values,
     fock_density,
     gaussian_gain_boundary,
     gaussian_loss_boundary,
@@ -193,7 +194,7 @@ def _no_violation_under_scan(rho, level, rotations, g_grid, rng):
     corr = correlation_matrix(rho, level, level)
     sum_var_a = corr.variance_sum_a()
     sum_var_b = corr.variance_sum_b()
-    bound = (level - 1) * corr.weight_a
+    bound = (level - 1) * np.trace(corr.reduced_a)
     tloos = build_tloos(level)
 
     rot_a = rotate_tloos(tloos, random_orthogonal(rng, level**2))
@@ -262,16 +263,18 @@ def test_criterion_10_orthogonal_invariance():
     rho = fock_density(channel_covariance("loss", 0.5, 0.5), 3, 3)
     corr = correlation_matrix(rho, 3, 3)
     base_norm = corr.trace_norm
-    base_sq_a = float((corr.mean_a**2).sum())
-    base_sq_b = float((corr.mean_b**2).sum())
+    # trace_norm reads no observable set: the rotated sets' own covariances and squared means are
+    # compared with it and with the purities Tr rho_X^2.
+    purity_a = float(np.trace(corr.reduced_a @ corr.reduced_a))
+    purity_b = float(np.trace(corr.reduced_b @ corr.reduced_b))
     tloos = build_tloos(3)
     worst = 0.0
     for _ in range(100):
         rot_a = rotate_tloos(tloos, random_orthogonal(rng, 9))
         rot_b = rotate_tloos(tloos, random_orthogonal(rng, 9))
         rotated = correlation_matrix(rho, 3, 3, rot_a, rot_b)
-        worst = max(worst, abs(rotated.trace_norm - base_norm))
-        worst = max(worst, abs(float((rotated.mean_a**2).sum()) - base_sq_a))
-        worst = max(worst, abs(float((rotated.mean_b**2).sum()) - base_sq_b))
+        worst = max(worst, abs(np.linalg.svd(rotated.entries, compute_uv=False).sum() - base_norm))
+        worst = max(worst, abs(float((expectation_values(rotated.reduced_a, rot_a) ** 2).sum()) - purity_a))
+        worst = max(worst, abs(float((expectation_values(rotated.reduced_b, rot_b) ** 2).sum()) - purity_b))
     ok = worst <= 1e-10
     report(10, "orthogonal invariance over 100 rotations", ok, f"max deviation={worst:.2e}")

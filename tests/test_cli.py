@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,18 @@ def test_sweep_json_format(tmp_path):
     assert {"r", "param", "criterion", "direction", "margin", "steerable"} <= payload[0].keys()
 
 
+@pytest.mark.parametrize(
+    "channel, digest",
+    [("loss", "11238cbf4e85b89f6e87bdd99212f002d7192a046ce4b254f0b08282d81ad065"),
+     ("gain", "a0eb24f171a27108d0d12eb8d4ce34342e4c7899f3a2516600c74493f12ecd5a")],
+)
+def test_default_sweep_csv_is_pinned(capsys, channel, digest):
+    # The default 120 x 120 grid, 3 criteria x 2 directions (86,400 rows), as written at commit d135971,
+    # before the trace norm was taken on the realigned Fock block; the 6 x 6 goldens cover small grids only.
+    assert run_cli("sweep", "--channel", channel) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_sweep_rejects_degenerate_range(capsys):
     code = run_cli(
         "sweep", "--channel", "loss",
@@ -163,6 +176,25 @@ def test_boundary_tloo(capsys):
     assert code == 0
     eta = float(capsys.readouterr().out.strip().split("=")[1])
     assert eta < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("sweep", "--channel", "loss", *SMALL_GRID), id="sweep"),
+        pytest.param(("boundary", "--channel", "loss", "--r", "0.4"), id="boundary"),
+        pytest.param(("rrange", "--channel", "gain", "--direction", "a-to-b", "--r-step", "0.02", "--r-max", "1.2"),
+                     id="rrange"),
+        pytest.param(("monogamy", "--r", "0.4", "--eta", "0.55"), id="monogamy"),
+        pytest.param(("fock-dump", "--r", "0.4"), id="fock-dump"),
+    ],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # An --out path in a missing directory used to end in a FileNotFoundError traceback and exit 1.
+    path = tmp_path / "missing" / "x"
+    assert run_cli(*argv, "--out", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_rrange_requires_tloo(capsys):
@@ -262,8 +294,9 @@ def golden(name: str, code: int = 0):
     was captured again when the root search changed, and monogamy_json,
     fock_dump_* and sweep_gain_3x3_json when the 2x2 closed forms replaced the
     4x4 eigensolve, inverse and determinant, and fock_dump_* again when the
-    sector sum replaced the derivative recurrence of the Taylor table, each value
-    checked against its 50-digit reference."""
+    sector sum replaced the derivative recurrence of the Taylor table, and
+    monogamy_json and sweep_gain_3x3_json again when the trace norm was taken on
+    the realigned Fock block, each value checked against its 50-digit reference."""
     return code, (DATA / "cli" / f"{name}.txt").read_text(encoding="utf-8")
 
 

@@ -321,12 +321,12 @@ def test_boundary_tloo_below_half():
 # Each lies within 2e-10 of the 50-digit root of its margin, except the gain one at
 # r = 1.0, 1.0e-9 away; near the vacuum the gain boundary 1 + tanh(r)^2 rounds to 1.
 PINNED_FIND_BOUNDARY = [
-    (1e-09, 0.49999999920943106, 1.0),
-    (0.05, 0.4691598631494482, 1.0024958392228933),
-    (0.3, 0.4011129079837865, 1.0848630381741777),
-    (1.0, 0.53773042993205, 1.5800256573626439),
+    (1e-09, 0.4999999992094307, 1.0),
+    (0.05, 0.46915986314944813, 1.0024958392228933),
+    (0.3, 0.4011129079837864, 1.0848630381741777),
+    (1.0, 0.5377304299320504, 1.5800256573626439),
     (2.5, 0.6876785868242171, 1.9734077733350484),
-    (5.0, 0.6956659169750057, 1.9998184167768647),
+    (5.0, 0.6956659169778769, 1.9998184167768647),
 ]
 
 
@@ -344,8 +344,8 @@ def test_find_boundary_is_pinned(r, loss, gain):
 @pytest.mark.parametrize(
     "channel, criterion, direction, r, expected, batches",
     [
-        ("loss", "tloo-n3", B_TO_A, 0.8, 0.46856119611166164, 7),
-        ("gain", "tloo-n2", A_TO_B, 0.4, 1.1952401178417438, 10),
+        ("loss", "tloo-n3", B_TO_A, 0.8, 0.4685611961116615, 7),
+        ("gain", "tloo-n2", A_TO_B, 0.4, 1.195240117841744, 10),
         ("loss", "gaussian", B_TO_A, 0.3, 0.5000000000000001, 4),
         ("gain", "gaussian", A_TO_B, 1e-4, 1.0000000108333322, 7),
     ],

@@ -20,6 +20,7 @@ from cvsteer import (
     channel_covariance,
     correlation_matrix,
     criterion_rhs,
+    expectation_values,
     fock_density,
     optimal_gain,
     paired_variance_sum,
@@ -79,6 +80,23 @@ def test_correlation_matrix_matches_the_einsum_oracle(channel, params, levels, r
             assert np.array_equal(entries, reference)
 
 
+@pytest.mark.parametrize("levels", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_trace_norm_and_variance_sums_hold_off_the_sector(levels):
+    # A random mixed state fills the elements off the sector m1 - m2 = n1 - n2 too, where the gap
+    # order of the realigned block is no block structure, only a permutation of its rows and columns.
+    n_a, n_b = levels
+    rng = np.random.default_rng(n_a * 10 + n_b)
+    rho = FockDensity.from_elements(random_real_mixed(rng, n_a * n_b).reshape(n_a, n_b, n_a, n_b))
+    corr = correlation_matrix(rho, n_a, n_b)
+    reference = np.linalg.svd(einsum_correlation_entries(rho, corr.tloos_a, corr.tloos_b), compute_uv=False).sum()
+    assert reference > 1e-3
+    assert abs(corr.trace_norm - reference) <= 1e-14
+    for variance_sum, reduced, tloos in ((corr.variance_sum_a(), rho.reduced_a, corr.tloos_a),
+                                         (corr.variance_sum_b(), rho.reduced_b, corr.tloos_b)):
+        means = expectation_values(reduced, tloos)
+        assert abs(variance_sum - (tloos.level * np.trace(reduced) - (means**2).sum())) <= 1e-14
+
+
 def test_correlation_matrix_rejects_an_imaginary_joint_expectation():
     rng = np.random.default_rng(3)
     elements = product_density(random_real_mixed(rng, 2, 1.0), random_real_mixed(rng, 2, 1.0)).elements
@@ -132,7 +150,7 @@ def test_rhs_trusted_factor_nonnegative():
     for _ in range(100):
         rho = product_density(random_real_mixed(rng, 2), random_real_mixed(rng, 2))
         corr = correlation_matrix(rho, 2, 2)
-        factor = corr.weight_a - (corr.mean_a**2).sum()
+        factor = np.trace(corr.reduced_a) - (expectation_values(corr.reduced_a, corr.tloos_a) ** 2).sum()
         assert factor >= -1e-12
 
 
@@ -341,16 +359,20 @@ def test_diagonal_correlation_rotations_are_signed_permutations():
 
 
 def test_trace_norm_invariant_under_rotations():
+    # trace_norm reads no observable set, so the rotated sets' own covariances and means are checked
+    # against it and against Tr rho_A^2.
     rng = np.random.default_rng(4)
     rho = lossy_density(0.5, 0.5, 3)
     corr = correlation_matrix(rho, 3, 3)
     base = corr.trace_norm
+    purity_a = np.trace(corr.reduced_a @ corr.reduced_a)
     tloos = build_tloos(3)
     for _ in range(20):
         rot_a = rotate_tloos(tloos, random_orthogonal(rng, 9))
         rot_b = rotate_tloos(tloos, random_orthogonal(rng, 9))
         rotated = correlation_matrix(rho, 3, 3, rot_a, rot_b)
-        assert rotated.trace_norm == pytest.approx(base, abs=1e-10)
+        assert np.linalg.svd(rotated.entries, compute_uv=False).sum() == pytest.approx(base, abs=1e-10)
+        assert (expectation_values(rotated.reduced_a, rot_a) ** 2).sum() == pytest.approx(purity_a, abs=1e-12)
 
 
 def test_mixed_levels_supported():
@@ -376,9 +398,10 @@ def test_trusted_factor_is_weight_minus_squared_means(rotated):
         if rotated:
             sets = [rotate_tloos(tloos, random_orthogonal(rng, 9)) for tloos in sets]
         corr = correlation_matrix(rho, 3, 3, *sets)
-        for factor, weight, mean in ((corr.trusted_factor_a(), corr.weight_a, corr.mean_a),
-                                     (corr.trusted_factor_b(), corr.weight_b, corr.mean_b)):
-            assert factor == pytest.approx(weight - (mean**2).sum(), abs=1e-15)
+        for factor, reduced, tloos in ((corr.trusted_factor_a(), corr.reduced_a, corr.tloos_a),
+                                       (corr.trusted_factor_b(), corr.reduced_b, corr.tloos_b)):
+            means = expectation_values(reduced, tloos)
+            assert factor == pytest.approx(np.trace(reduced) - (means**2).sum(), abs=1e-15)
 
 
 def test_trusted_factor_keeps_its_accuracy_near_vacuum():
