@@ -1,7 +1,7 @@
 """Command-line front end: sweeps, boundaries, squeezing ranges, monogamy, Fock dumps.
 
 Exit codes: 0 success, 2 invalid arguments, 3 no boundary / empty interval.
-The library validates every value; this module only parses and prints.
+The library validates every value; this module parses, refuses flag combinations and prints.
 """
 
 import argparse
@@ -40,7 +40,7 @@ def _criterion(args) -> str:
 
 @contextlib.contextmanager
 def _output(path):
-    """Stream for --out: stdout when omitted or '-', else the file, closed afterwards."""
+    """Stream for --out, stdout when omitted or '-'; opened after the value checks and before the work."""
     if path is None or path == "-":
         yield sys.stdout
     else:
@@ -58,9 +58,9 @@ def cmd_sweep(args) -> int:
     else:
         criteria = ((_criterion(args), args.direction),)
     param_range = args.param_range or CHANNELS[args.channel].default_range
-    result = run_sweep(SweepSpec(args.channel, tuple(args.r_range), tuple(param_range), criteria))
+    spec = SweepSpec(args.channel, tuple(args.r_range), tuple(param_range), criteria)
     with _output(args.out) as stream:
-        (write_sweep_csv if args.format == "csv" else write_sweep_json)(result, stream)
+        (write_sweep_csv if args.format == "csv" else write_sweep_json)(run_sweep(spec), stream)
     return EXIT_OK
 
 
@@ -81,8 +81,6 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_rrange(args) -> int:
-    if args.out and not CHANNELS[args.channel].eps_curve:
-        raise ValueError(f"--out writes the eps curve, which the {args.channel} channel does not have")
     result = squeezing_range(args.channel, _criterion(args), args.direction, r_step=args.r_step, r_max=args.r_max)
     if not result.blind_region:
         print(f"no Gaussian-blind region for {args.channel} {args.direction}")
@@ -90,12 +88,12 @@ def cmd_rrange(args) -> int:
     if not result.detected:
         print("no detection inside the Gaussian-blind region")
         return EXIT_NO_BOUNDARY
-    print(f"r_low={result.r_low:.9g}\nr_high={result.r_high:.9g}")
-    if result.eps_curve is not None:
-        print(f"eps_max={result.eps_max:.9g}\neps_argmax={result.eps_argmax:.9g}")
-        if args.out:
-            with _output(args.out) as stream:
-                print("r,eps", *(f"{r:.9g},{eps:.9g}" for r, eps in result.eps_curve), sep="\n", file=stream)
+    with _output(args.out) if args.out else contextlib.nullcontext() as stream:
+        print(f"r_low={result.r_low:.9g}\nr_high={result.r_high:.9g}")
+        if result.eps_curve is not None:
+            print(f"eps_max={result.eps_max:.9g}\neps_argmax={result.eps_argmax:.9g}")
+        if stream:  # only --out writes the eps curve, which main allows only where there is one
+            print("r,eps", *(f"{r:.9g},{eps:.9g}" for r, eps in result.eps_curve), sep="\n", file=stream)
     return EXIT_OK
 
 
@@ -137,6 +135,7 @@ def cmd_fock_dump(args) -> int:
 
 
 _COMMON = {
+    "channel": dict(choices=tuple(CHANNELS), required=True),
     "r": dict(type=float, required=True, help="squeezing parameter"),
     "level": dict(type=int, choices=[n for n in CRITERION_AT_LEVEL if n], help="TLOO truncation level (default 2)"),
     "direction": dict(choices=DIRECTIONS, help=f"steering direction to test (default {B_TO_A})"),
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="evaluate criteria over an (r, channel parameter) grid")
-    p.add_argument("--channel", choices=tuple(CHANNELS), required=True)
+    _add_common(p, "channel")
     p.add_argument("--r-range", nargs=3, type=float, metavar=("MIN", "MAX", "STEPS"),
                    default=(0.05, 1.4, 120), help="squeezing grid")
     p.add_argument("--param-range", nargs=3, type=float, metavar=("MIN", "MAX", "STEPS"),
@@ -170,19 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("boundary", help="find the channel parameter where a criterion flips")
-    p.add_argument("--channel", choices=tuple(CHANNELS), required=True)
-    _add_common(p, "r", "level", "direction", "out")
-    p.add_argument("--criterion", choices=("gaussian", "tloo"), default="gaussian")
-    p.set_defaults(func=cmd_boundary)
+    _add_common(p, "channel", "r", "level", "direction", "out", "criterion")
+    p.set_defaults(func=cmd_boundary, criterion="gaussian")
 
-    p = sub.add_parser("rrange", help="squeezing interval detected inside the Gaussian-blind region")
-    p.add_argument("--channel", choices=tuple(CHANNELS), required=True)
-    p.add_argument("--criterion", choices=("gaussian", "tloo"), default="tloo")
+    p = sub.add_parser("rrange", help="squeezing interval detected by TLOO inside the Gaussian-blind region")
+    _add_common(p, "channel", "level", "direction")
     p.add_argument("--r-step", type=float, default=1e-3, help="squeezing scan step")
     p.add_argument("--r-max", type=float, default=1.4, help="squeezing scan upper end")
-    _add_common(p, "level", "direction")
     p.add_argument("--out", help="path of the eps-curve CSV, gain channel only ('-' for stdout)")
-    p.set_defaults(func=cmd_rrange)
+    p.set_defaults(func=cmd_rrange, criterion="tloo")
 
     p = sub.add_parser("monogamy", help="simultaneous Bob/Eve steering for a beamsplitter split")
     _add_common(p, "r", "out")
@@ -192,10 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fock-dump", help="serialise truncated Fock elements to JSON")
     p.add_argument("--channel", choices=("none", *CHANNELS), default="none")
-    _add_common(p, "r")
+    _add_common(p, "r", "out")
     p.add_argument("--eta", type=float, help="loss transmittance in (0, 1]")
     p.add_argument("--gain", type=float, help=f"amplifier gain factor in [1, {MAX_GAIN:g}]")
-    _add_common(p, "out")
     p.add_argument("--cutoffs", nargs=2, type=int, metavar=("NA", "NB"), default=(3, 3))
     p.set_defaults(func=cmd_fock_dump)
 
@@ -216,6 +210,8 @@ def main(argv=None) -> int:
             if getattr(args, name) is not None and not read:
                 parser.error(f"--{name} does not apply to "
                              + (f"the {args.criterion} criterion" if args.criterion else "a sweep of every criterion"))
+    if args.command == "rrange" and args.out and not CHANNELS[args.channel].eps_curve:
+        parser.error(f"--out writes the eps curve, which the {args.channel} channel does not have")
     for name, default in (("level", 2), ("direction", B_TO_A)):  # after the check, which must see what was given
         if getattr(args, name, default) is None:
             setattr(args, name, default)

@@ -16,7 +16,7 @@ singular-value factors of C concentrates all correlation on the diagonal, where
 a single linear-estimate variance sum beats its uncertainty bound.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -217,17 +217,15 @@ def build_witness(
     if not tloo_margin(corr, B_TO_A) > MARGIN_TOL:
         raise ValueError(f"state is not flagged steerable ({direction}); no witness exists")
     u, singular, vt = np.linalg.svd(corr.entries)
-    rot_a = rotate_tloos(build_tloos(level_a), u.T)
-    rot_b = rotate_tloos(build_tloos(level_b), vt)
-    rotated = correlation_matrix(rho, level_a, level_b, rot_a, rot_b)
-    diag = np.diag(rotated.entries)[: min(len(rot_a), len(rot_b))].copy()
+    rotated = replace(corr, tloos_a=rotate_tloos(corr.tloos_a, u.T), tloos_b=rotate_tloos(corr.tloos_b, vt))
+    diag = np.diag(rotated.entries)[: min(len(rotated.tloos_a), len(rotated.tloos_b))].copy()
     if abs(diag.sum() - singular.sum()) > 1e-9:
         raise RuntimeError("rotated diagonal correlations do not reproduce the trace norm")
     gain = optimal_gain(rotated)
     lhs, bound = _paired_sum(rotated, gain)
     if not lhs < bound:
         raise RuntimeError("witness failed to violate the variance-sum bound")
-    return Witness(direction, rot_a, rot_b, gain, lhs, bound, diag)
+    return Witness(direction, rotated.tloos_a, rotated.tloos_b, gain, lhs, bound, diag)
 
 
 def swap_fock_modes(rho: FockDensity) -> FockDensity:

@@ -190,17 +190,52 @@ def test_boundary_tloo(capsys):
     ],
 )
 def test_unwritable_out_exits_2(tmp_path, capsys, argv):
-    # An --out path in a missing directory used to end in a FileNotFoundError traceback and exit 1.
+    # An --out path in a missing directory used to end in a FileNotFoundError traceback and exit 1,
+    # and then was refused only after the work: rrange printed its four result lines first.
     path = tmp_path / "missing" / "x"
     assert run_cli(*argv, "--out", str(path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_unwritable_out_is_refused_before_the_sweep_grid_is_evaluated(monkeypatch, tmp_path, capsys):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated the grid although --out cannot be written")
+
+    monkeypatch.setattr(scan, "batch_margins", no_evaluation)
+    path = tmp_path / "missing" / "x"
+    assert run_cli("sweep", "--channel", "loss", "--out", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("sweep", "--channel", "loss", "--r-range", "1", "0", "5"), id="sweep"),
+        pytest.param(("rrange", "--channel", "gain", "--direction", "a-to-b", "--r-step", "0"), id="rrange"),
+        pytest.param(("boundary", "--channel", "loss", "--r", "-1"), id="boundary"),
+    ],
+)
+def test_refused_value_leaves_the_out_file_as_it_was(tmp_path, capsys, argv):
+    # --out is opened after the library has checked the values, so a refusal neither creates nor truncates it.
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"keep me\n")
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"keep me\n"
 
 
 def test_rrange_requires_tloo(capsys):
-    code = run_cli("rrange", "--channel", "loss", "--criterion", "gaussian")
-    assert code == 2
-    assert "'gaussian'" in capsys.readouterr().err
+    # rrange always runs the TLOO criterion at --level: a Gaussian range is empty by construction
+    # (squeezing_range refuses it), so --criterion had one usable value and is gone.
+    for criterion in ("gaussian", "tloo"):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("rrange", "--channel", "loss", "--criterion", criterion)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --criterion" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("channel, direction", [("loss", "a-to-b"), ("gain", "b-to-a")])
@@ -239,10 +274,11 @@ def test_rrange_refuses_out_for_a_channel_without_an_eps_curve(monkeypatch, tmp_
 
     monkeypatch.setattr(scan, "batch_margins", no_scan)
     out = tmp_path / "eps.csv"
-    code = run_cli("rrange", "--channel", "loss", "--level", "2", "--out", str(out))
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("rrange", "--channel", "loss", "--level", "2", "--out", str(out))
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: --out writes the eps curve, which the loss channel does not have\n"
+    assert excinfo.value.code == 2
+    assert captured.err.endswith("cvsteer: error: --out writes the eps curve, which the loss channel does not have\n")
     assert captured.out == ""
     assert not out.exists()
 
@@ -262,8 +298,7 @@ def test_rrange_with_two_detected_runs_exits_2(monkeypatch, capsys):
 
 
 def test_rrange_loss(capsys):
-    code = run_cli("rrange", "--channel", "loss", "--criterion", "tloo",
-                   "--level", "2", "--direction", "b-to-a",
+    code = run_cli("rrange", "--channel", "loss", "--level", "2", "--direction", "b-to-a",
                    "--r-step", "0.02", "--r-max", "1.2")
     assert code == 0
     out = capsys.readouterr().out
@@ -279,6 +314,34 @@ def test_gaussian_boundary_near_the_vacuum(capsys, channel, r, direction, expect
     # The Gaussian margin is O(r^2) here; it keeps its sign, so the boundary is one crossing.
     assert run_cli("boundary", "--channel", channel, "--r", r, "--criterion", "gaussian", "--direction", direction) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--channel", "loss", "--level", "2"), "r_low=0.001\nr_high=0.868989601\n"),
+        (("--channel", "loss", "--level", "3"), "r_low=0.36376166\nr_high=0.986912653\n"),
+        (("--channel", "gain", "--level", "2", "--direction", "a-to-b"),
+         "r_low=0.001\nr_high=0.648382223\neps_max=0.0509705374\neps_argmax=0.41\n"),
+        (("--channel", "gain", "--level", "3", "--direction", "a-to-b"),
+         "r_low=0.259989715\nr_high=0.745720455\neps_max=0.0382427223\neps_argmax=0.526\n"),
+    ],
+)
+def test_default_step_rrange_is_pinned(capsys, argv, expected):
+    # The default scan (--r-step 1e-3, --r-max 1.4), as printed at commit 8a6b9cc.
+    assert run_cli("rrange", *argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "level, digest",
+    [("2", "7badcde2e7e0cfeca03542c8089d51c35af47500102db401f139ad58c3fb7072"),
+     ("3", "e502f1ef6ff682d9334e9ef69e8cde1aa9ace402403d7a7f41b770165c00f330")],
+)
+def test_default_step_rrange_eps_curve_is_pinned(capsys, level, digest):
+    # The summary lines and the default-step eps-curve CSV on stdout, as written at commit 8a6b9cc.
+    assert run_cli("rrange", "--channel", "gain", "--level", level, "--direction", "a-to-b", "--out", "-") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_rrange_stops_at_r_max(capsys):

@@ -248,7 +248,7 @@ def test_witness_minimises_its_paired_sum_at_unequal_levels():
 
 
 def test_witness_assembles_each_correlation_matrix_once(monkeypatch):
-    # One matrix for the margin and one for the rotated sets, whose paired sum reuses it.
+    # One matrix for the margin; the rotated sets share its realigned block, and the paired sum reuses them.
     calls = []
 
     def counted(*args):
@@ -257,7 +257,7 @@ def test_witness_assembles_each_correlation_matrix_once(monkeypatch):
 
     monkeypatch.setattr("cvsteer.tloo_criterion.correlation_matrix", counted)
     build_witness(fock_density(channel_covariance("loss", 0.4, 0.45), 3, 3), 2, 2, B_TO_A)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
