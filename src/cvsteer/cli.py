@@ -193,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs", nargs=2, type=int, metavar=("NA", "NB"), default=(3, 3))
     p.set_defaults(func=cmd_fock_dump)
 
+    for p in sub.choices.values():  # main refuses flag combinations in the subcommand's own voice
+        p.set_defaults(error=p.error)
     return parser
 
 
@@ -204,14 +206,14 @@ def main(argv=None) -> int:
             given = getattr(args, spec.param) is not None
             if given != (name == args.channel):
                 rule = "does not apply to" if given else "is required for"
-                parser.error(f"--{spec.param} {rule} the {args.channel} channel")
+                args.error(f"--{spec.param} {rule} the {args.channel} channel")
     if args.command in ("sweep", "boundary"):  # a TLOO criterion reads --level, a single criterion --direction
         for name, read in (("level", args.criterion == "tloo"), ("direction", args.criterion is not None)):
             if getattr(args, name) is not None and not read:
-                parser.error(f"--{name} does not apply to "
-                             + (f"the {args.criterion} criterion" if args.criterion else "a sweep of every criterion"))
+                args.error(f"--{name} does not apply to "
+                           + (f"the {args.criterion} criterion" if args.criterion else "a sweep of every criterion"))
     if args.command == "rrange" and args.out and not CHANNELS[args.channel].eps_curve:
-        parser.error(f"--out writes the eps curve, which the {args.channel} channel does not have")
+        args.error(f"--out writes the eps curve, which the {args.channel} channel does not have")
     for name, default in (("level", 2), ("direction", B_TO_A)):  # after the check, which must see what was given
         if getattr(args, name, default) is None:
             setattr(args, name, default)

@@ -242,8 +242,8 @@ def write_sweep_json(result: SweepResult, stream) -> None:
               for criterion, direction in result.criteria]
     for start in range(0, len(result.r) if labels else 0, _SWEEP_BATCH):  # no pairs, no records
         part = slice(start, start + _SWEEP_BATCH)
-        points = [f'  {{\n    "r": {r!r},\n    "param": {param!r},\n'
-                  for r, param in zip(result.r[part].tolist(), result.param[part].tolist())]
+        points = [f'  {{\n    "r": {r},\n    "param": {param},\n'
+                  for r, param in zip(_reprs(result.r[part]), _reprs(result.param[part]))]
         columns = [
             [f'{label}{m!r},\n    "steerable": {"true" if s else "false"}\n  }}'
              for m, s in zip(margins[part].tolist(), flags[part].tolist())]
@@ -252,6 +252,13 @@ def write_sweep_json(result: SweepResult, stream) -> None:
         stream.write(",\n" if start else "[\n")
         stream.write(",\n".join([point + cell for point, *cells in zip(points, *columns) for cell in cells]))
     stream.write("\n]\n" if len(result.r) and labels else "[]\n")
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float of a 1-D array, each distinct value (by its bits: 0.0 and -0.0 apart) formatted once."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [repr(value) for value in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def find_boundary(channel: str, r: float, criterion: str, direction: str) -> float | None:

@@ -11,11 +11,14 @@ carries no level multiplier while the untrusted one does.  Neither side needs
 an observable basis: C = T_a K T_b^T with T_a, T_b unitary and K the realigned
 covariance block, and sum <A_i>^2 = Tr rho_A^2 for any TLOO set, so the trusted
 factor Tr rho_A - Tr rho_A^2 does not cancel on a near-vacuum marginal.
+On a Gaussian state K splits into 1x1, 2x2 and 3x3 blocks at levels 2 and 3,
+whose trace norms have closed forms, so the margin needs no LAPACK call there.
 Violations come with an explicit witness: rotating both observable sets by the
 singular-value factors of C concentrates all correlation on the diagonal, where
 a single linear-estimate variance sum beats its uncertainty bound.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
@@ -40,7 +43,25 @@ class CorrelationMatrix:
 
     @cached_property
     def trace_norm(self):
-        return np.linalg.svd(self.block, compute_uv=False).sum(axis=-1)
+        """Sum of the singular values of K, one per state of a batch: ||B_0||_tr + 2 sum_{g>=1} ||B_g||_tr on
+        the gap blocks (_gap_cells) at equal levels 2 and 3, each a closed form (_gap_trace_norm); the SVD of K
+        for a state with a non-zero cell off the blocks or a B_0 too near rank one, and at other levels."""
+        level, shape = self.tloos_a.level, self.block.shape
+        if level != self.tloos_b.level or level > 3:
+            return _svd_trace_norm(self.block)
+        order, blocks = _gap_cells(level)
+        flat = self.block.reshape(-1, shape[-1] ** 2)
+        if 0 < len(flat) < _FLOAT_BATCH:
+            rows = flat[:, order].tolist()
+            norm, coarse = zip(*(_gap_trace_norm(row, level, *_FLOAT_OPS) for row in rows))
+            norm, by_svd = np.array(norm), np.array([flag or any(row[blocks:]) for flag, row in zip(coarse, rows)])
+        else:
+            cells = flat.T[order]
+            norm, coarse = _gap_trace_norm(cells, level, *_ARRAY_OPS)
+            by_svd = coarse | cells[blocks:].any(axis=0)
+        if by_svd.any():
+            norm[by_svd] = _svd_trace_norm(self.block.reshape(-1, *shape[-2:])[by_svd])
+        return norm.reshape(shape[:-2])[()]
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -66,11 +87,81 @@ class CorrelationMatrix:
 
 @cache
 def _gap_order(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, n) of each realigned index by its gap n - m: K of a fock_density state, zero off m1 - m2 = n1 - n2,
-    is then block-diagonal, which the SVD is fast on; a permutation keeps the singular values of every state."""
+    """(m, n) of each realigned index by its gap n - m, then by m: K of a fock_density state, zero off
+    m1 - m2 = n1 - n2, is then block-diagonal, one block B_g per gap; a permutation keeps the singular
+    values of every state."""
     m, n = np.divmod(np.arange(level * level), level)
     order = np.argsort(n - m, kind="stable")
     return m[order], n[order]
+
+
+@cache
+def _gap_cells(level: int) -> tuple[np.ndarray, int]:
+    """Flat indices into K (equal levels) of the cells of B_0, B_1, ..., B_(level-1), each row-major, then
+    of every cell off the gap blocks, and the count of the former.  B_-g is B_g on a state symmetric under
+    (m1, m2) <-> (n1, n2), as FockDensity's elements are (from_elements arrays to 1e-12)."""
+    m, n = _gap_order(level)
+    rows, cols = np.divmod(np.arange(level**4), level * level)
+    gap_rows, gap_cols = (n - m)[rows], (n - m)[cols]
+    blocks = [np.flatnonzero((gap_rows == g) & (gap_cols == g)) for g in range(level)]
+    return np.concatenate(blocks + [np.flatnonzero(gap_rows != gap_cols)]), sum(map(len, blocks))
+
+
+# Batches smaller than this take the closed forms state by state in Python floats, which round as
+# numpy's arrays do: numpy's cost per call, near a microsecond, outweighs a few states' arithmetic.
+# Each path's (sqrt, largest |cell|).
+_FLOAT_BATCH = 8
+_FLOAT_OPS = (math.sqrt, lambda cells: max(max(cells), -min(cells)))
+_ARRAY_OPS = (np.sqrt, lambda cells: np.abs(cells).max(axis=0))
+
+
+def _gap_trace_norm(cells, level, sqrt, largest):
+    """||B_0||_tr + 2 sum_{g>=1} ||B_g||_tr from the _gap_cells cells of one state (Python floats) or of
+    a batch (one array per cell), and whether _three_by_three refers B_0 to the SVD."""
+    if level == 2:  # B_0 2x2, B_1 1x1
+        return _two_by_two(*cells[:4], sqrt) + 2.0 * abs(cells[4]), False
+    norm, coarse = _three_by_three(cells[:9], sqrt, largest)
+    return norm + 2.0 * (_two_by_two(*cells[9:13], sqrt) + abs(cells[13])), coarse
+
+
+def _two_by_two(a, b, c, d, sqrt):
+    """sigma_1 + sigma_2 of [[a, b], [c, d]]: its square is ||B||_F^2 + 2 |det B|."""
+    return sqrt(a * a + b * b + c * c + d * d + 2.0 * abs(a * d - b * c))
+
+
+def _three_by_three(cells, sqrt, largest):
+    """s = sigma_1 + sigma_2 + sigma_3 of a 3x3 block (row-major cells), and whether its det is too coarse for s.
+
+    With F = ||B||_F^2, A = ||adj B||_F^2 and D = |det B|, q = e_2(sigma) solves q^2 = A + 2 D sqrt(F + 2q)
+    and s = sqrt(F + 2q).  That g(q) is convex with g' = 2 (q - D/s) > 0 above the root, so three Newton
+    steps from the upper bound sqrt(A + 2 D sqrt(F + 2 sqrt(3A))) (Cauchy-Schwarz: q <= sqrt(3A)) descend
+    to it; the guard on A = 0 keeps the zero block from 0/0.  The block is scaled to a largest |entry| of 1
+    first (A is a fourth power).  D, expanded along the first row, is off by up to about eps P, P the sum
+    of its six products' magnitudes, and that moves s by eps P / (q s) relative: near rank one that can
+    reach eps sigma_1 / sigma_2 on a dense block, while a fock_density block, graded, keeps P small.  A
+    block with P > 10 q s is flagged for the SVD.
+    """
+    scale = largest(cells)
+    scale = scale + (scale == 0.0)
+    a, b, c, d, e, f, g, h, i = [x / scale for x in cells]
+    ei, fh, di, fg, dh, eg = e * i, f * h, d * i, f * g, d * h, e * g
+    m0, m1, m2 = ei - fh, di - fg, dh - eg  # the minors, written out: a fixed order of rounding
+    m3, m4, m5 = b * i - c * h, a * i - c * g, a * h - b * g
+    m6, m7, m8 = b * f - c * e, a * f - c * d, a * e - b * d
+    frob = a * a + b * b + c * c + d * d + e * e + f * f + g * g + h * h + i * i
+    adj = m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3 + m4 * m4 + m5 * m5 + m6 * m6 + m7 * m7 + m8 * m8
+    det = abs(a * m0 - b * m1 + c * m2)
+    products = abs(a) * (abs(ei) + abs(fh)) + abs(b) * (abs(di) + abs(fg)) + abs(c) * (abs(dh) + abs(eg))
+    q = sqrt(adj + 2.0 * det * sqrt(frob + 2.0 * sqrt(3.0 * adj)))
+    for _ in range(3):
+        s = sqrt(frob + 2.0 * q)
+        q = (s * (q * q + adj) + 2.0 * det * (frob + q)) / (2.0 * (q * s - det) + (adj == 0.0))
+    s = sqrt(frob + 2.0 * q)
+    return scale * s, products > 10.0 * q * s
+
+
+def _svd_trace_norm(block: np.ndarray):
+    return np.linalg.svd(block, compute_uv=False).sum(axis=-1)
 
 
 def _variance_sum(reduced: np.ndarray):

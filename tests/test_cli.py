@@ -278,7 +278,8 @@ def test_rrange_refuses_out_for_a_channel_without_an_eps_curve(monkeypatch, tmp_
         run_cli("rrange", "--channel", "loss", "--level", "2", "--out", str(out))
     captured = capsys.readouterr()
     assert excinfo.value.code == 2
-    assert captured.err.endswith("cvsteer: error: --out writes the eps curve, which the loss channel does not have\n")
+    assert captured.err.startswith("usage: cvsteer rrange ")
+    assert captured.err.endswith("cvsteer rrange: error: --out writes the eps curve, which the loss channel does not have\n")
     assert captured.out == ""
     assert not out.exists()
 
@@ -359,7 +360,9 @@ def golden(name: str, code: int = 0):
     4x4 eigensolve, inverse and determinant, and fock_dump_* again when the
     sector sum replaced the derivative recurrence of the Taylor table, and
     monogamy_json and sweep_gain_3x3_json again when the trace norm was taken on
-    the realigned Fock block, each value checked against its 50-digit reference."""
+    the realigned Fock block, and sweep_gain_3x3_json again when closed forms on
+    its gap blocks replaced that SVD, each value checked against its 50-digit
+    reference."""
     return code, (DATA / "cli" / f"{name}.txt").read_text(encoding="utf-8")
 
 
@@ -566,12 +569,14 @@ def test_fock_dump_requires_channel_param(capsys):
     ],
 )
 def test_fock_dump_refuses_another_channels_param(capsys, argv, message):
-    # fock-dump used to take the parameter and never read it.
+    # fock-dump used to take the parameter and never read it.  The refusal names the subcommand,
+    # with its usage, as argparse's own refusals do.
     with pytest.raises(SystemExit) as excinfo:
         run_cli("fock-dump", "--r", "0.3", *argv)
     captured = capsys.readouterr()
     assert excinfo.value.code == 2
-    assert captured.err.endswith(f"error: {message}\n")
+    assert captured.err.startswith("usage: cvsteer fock-dump ")
+    assert captured.err.endswith(f"cvsteer fock-dump: error: {message}\n")
     assert captured.out == ""
 
 
@@ -633,12 +638,13 @@ def test_cli_value_errors_map_to_usage_exit(capsys):
 )
 def test_flags_that_nothing_reads_are_refused(capsys, argv, message):
     # Each of these used to exit 0: the sweep wrote every pair, the Gaussian criterion has no level,
-    # and monogamy printed its text under the csv label.
+    # and monogamy printed its text under the csv label.  Each refusal names its subcommand.
     with pytest.raises(SystemExit) as excinfo:
         run_cli(*argv)
     captured = capsys.readouterr()
     assert excinfo.value.code == 2
-    assert message in captured.err
+    assert captured.err.startswith(f"usage: cvsteer {argv[0]} ")
+    assert f"cvsteer {argv[0]}: error: " in captured.err and message in captured.err
     assert captured.out == ""
 
 

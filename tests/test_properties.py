@@ -106,6 +106,26 @@ def test_gaussian_margin_matches_the_50_digit_eigensolve(r, channel, u, directio
 
 
 @settings(max_examples=200, deadline=None)
+@given(
+    LOG_UNIFORM_SQUEEZING,
+    st.sampled_from([("loss", 0.0, 1.0), ("gain", 1.0, MAX_GAIN)]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([2, 3]),
+)
+def test_gap_block_trace_norm_matches_lapack(r, channel, u, level):
+    # The closed forms on the gap blocks of K against the SVD of the whole of K, r down to 1e-12,
+    # where B_0 is near rank one; as a batch of one and inside a batch of 8, which takes the arrays.
+    channel, lo, hi = channel
+    param = max(lo + (hi - lo) * u, 1e-6)
+    rs, params = np.full(8, r), np.linspace(param, lo + (hi - lo) * 0.5, 8)
+    corr = correlation_matrix(fock_density(channel_covariance(channel, rs, params), level, level), level, level)
+    reference = np.linalg.svd(corr.block, compute_uv=False).sum(axis=-1)
+    assert np.all(np.abs(corr.trace_norm - reference) <= 1e-15 * reference)
+    single = correlation_matrix(fock_density(channel_covariance(channel, r, param), level, level), level, level)
+    assert single.trace_norm == corr.trace_norm[0]
+
+
+@settings(max_examples=200, deadline=None)
 @given(LOG_UNIFORM_SQUEEZING)
 def test_boundaries_match_the_closed_forms_to_the_last_bits(r):
     # Loss B->A at eta = 1/2 and gain A->B at G*(r) = 2 cosh2r / (cosh2r + 1) = 1 + tanh(r)^2,

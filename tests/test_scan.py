@@ -268,6 +268,16 @@ def test_json_bytes_match_json_dumps(monkeypatch, batch):
     assert all(list(record) == header for record in json.loads(buffer.getvalue()))
 
 
+def test_json_formats_repeated_and_signed_zero_grid_values_as_json_dumps():
+    # The writer formats each distinct grid value once, told apart by its bits: 0.0 and -0.0 differ.
+    result = SweepResult(r=np.array([-0.0, -0.0, 0.0, 0.0, 0.35]), param=np.array([0.0, -0.0, 0.0, -0.0, 0.0]),
+                         criteria=(("gaussian", B_TO_A),), margins=(np.array([0.5, -0.0, 0.0, 1e-300, -2.0]),))
+    buffer = io.StringIO()
+    write_sweep_json(result, buffer)
+    assert buffer.getvalue() == json.dumps(sweep_records(result), indent=2) + "\n"
+    assert buffer.getvalue().count('"r": -0.0') == 2 and buffer.getvalue().count('"param": -0.0') == 2
+
+
 @pytest.mark.parametrize(
     "result",
     [
@@ -324,8 +334,8 @@ PINNED_FIND_BOUNDARY = [
     (1e-09, 0.4999999992094307, 1.0),
     (0.05, 0.46915986314944813, 1.0024958392228933),
     (0.3, 0.4011129079837864, 1.0848630381741777),
-    (1.0, 0.5377304299320504, 1.5800256573626439),
-    (2.5, 0.6876785868242171, 1.9734077733350484),
+    (1.0, 0.5377304299320503, 1.5800256573626439),
+    (2.5, 0.687678586824217, 1.9734077733350484),
     (5.0, 0.6956659169778769, 1.9998184167768647),
 ]
 
@@ -344,7 +354,7 @@ def test_find_boundary_is_pinned(r, loss, gain):
 @pytest.mark.parametrize(
     "channel, criterion, direction, r, expected, batches",
     [
-        ("loss", "tloo-n3", B_TO_A, 0.8, 0.4685611961116615, 7),
+        ("loss", "tloo-n3", B_TO_A, 0.8, 0.4685611961116617, 7),
         ("gain", "tloo-n2", A_TO_B, 0.4, 1.195240117841744, 10),
         ("loss", "gaussian", B_TO_A, 0.3, 0.5000000000000001, 4),
         ("gain", "gaussian", A_TO_B, 1e-4, 1.0000000108333322, 7),

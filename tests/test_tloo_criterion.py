@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -30,6 +32,9 @@ from cvsteer import (
     tmsv_covariance,
     uncertainty_sum,
 )
+from cvsteer import tloo_criterion
+from cvsteer.covariance import TwoModeCovariance
+from cvsteer.tloo_criterion import CorrelationMatrix
 
 
 def lossy_density(r, eta, n=2):
@@ -126,6 +131,140 @@ def test_cutoff_mismatch_rejected():
     rho = lossy_density(0.5, 0.5, 2)
     with pytest.raises(ValueError):
         correlation_matrix(rho, 3, 3)
+
+
+# ------------------------------------------------------ trace norm on the gap blocks
+
+EPS = np.finfo(float).eps
+
+
+def svd_calls(monkeypatch):
+    """Record the shape of every block the trace norm hands to the SVD."""
+    calls = []
+    svd = tloo_criterion._svd_trace_norm
+
+    def recording(block):
+        calls.append(block.shape)
+        return svd(block)
+
+    monkeypatch.setattr(tloo_criterion, "_svd_trace_norm", recording)
+    return calls
+
+
+def with_gap_zero_block(b0):
+    """A level-3 correlation matrix whose K holds b0 (3x3, or a stack) as B_0 and zeros elsewhere."""
+    m, n = tloo_criterion._gap_order(3)
+    diagonal = np.flatnonzero(m == n)
+    block = np.zeros(b0.shape[:-2] + (9, 9))
+    block[..., diagonal[:, None], diagonal] = b0
+    zeros = np.zeros(b0.shape[:-2] + (3, 3))
+    return CorrelationMatrix(block, build_tloos(3), build_tloos(3), zeros, zeros, 0.0, 0.0)
+
+
+def singular_value_block(rng, singular_values, scale):
+    return scale * random_orthogonal(rng, 3) @ np.diag(singular_values) @ random_orthogonal(rng, 3)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+@pytest.mark.parametrize("singular_values", [(1.0, 0.5, 0.25), (1.0, 0.3, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0),
+                                             (1.0, 0.5, 0.5), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+                         ids=["rank3", "rank2", "rank2-repeated", "rank3-all-equal", "rank3-repeated", "rank1", "rank0"])
+def test_three_by_three_blocks_match_the_svd(monkeypatch, singular_values, scale):
+    # A is a fourth power of the entries: 1e-300 and 1e150 would underflow or overflow unscaled.
+    rng = np.random.default_rng(int(sum(singular_values) * 100))
+    b0 = np.stack([singular_value_block(rng, singular_values, scale) for _ in range(20)])
+    reference = np.linalg.svd(b0, compute_uv=False).sum(axis=-1)
+    calls = svd_calls(monkeypatch)
+    norms = with_gap_zero_block(b0).trace_norm
+    assert np.all(np.abs(norms - reference) <= 4 * EPS * reference)
+    assert norms.tolist() == [with_gap_zero_block(b).trace_norm for b in b0]  # the same bits one by one
+    if singular_values[1] > 0.0:
+        assert calls == []  # the closed form took every block
+    if singular_values[0] == 0.0:
+        assert not norms.any()
+
+
+def test_an_exact_rank_one_block_takes_the_closed_form(monkeypatch):
+    # Every 2x2 minor of this block, scaled to a largest entry of 1, is an exact 0, so A = D = 0 and
+    # only the guard keeps the Newton step from 0/0.  LAPACK reports a second singular value of 3e-16.
+    b0 = np.array([[0.0, 1.0, 3.0], [0.0, 2.0, 6.0], [0.0, 0.0, 0.0]])
+    calls = svd_calls(monkeypatch)
+    for scale in (1e-300, 1.0, 1e150):
+        norm = with_gap_zero_block(scale * b0).trace_norm
+        assert norm == pytest.approx(scale * math.sqrt(50.0), rel=2 * EPS)
+        assert abs(norm - np.linalg.svd(scale * b0, compute_uv=False).sum()) <= 4 * EPS * norm
+    assert calls == []
+
+
+@pytest.mark.parametrize("band", [(1e-8, 1e-6), (1e-6, 1e-4), (1e-4, 1e-3)])
+def test_dense_near_rank_one_blocks_take_the_svd(monkeypatch, band):
+    # A dense block near rank one carries a determinant rounded in absolute terms, which the closed
+    # form would turn into a relative error near eps sigma_1 / sigma_2; such blocks take the SVD.
+    rng = np.random.default_rng(int(-math.log10(band[0])))
+    ratios = np.exp(rng.uniform(*np.log(band), 200))
+    b0 = np.stack([singular_value_block(rng, (1.0, t, t * rng.uniform()), 1.0) for t in ratios])
+    reference = np.linalg.svd(b0, compute_uv=False).sum(axis=-1)
+    calls = svd_calls(monkeypatch)
+    norms = with_gap_zero_block(b0).trace_norm
+    assert np.all(np.abs(norms - reference) <= 4 * EPS * reference)
+    (routed,) = calls
+    assert routed[0] >= 0.7 * len(b0)
+
+
+def test_dense_well_conditioned_blocks_take_the_closed_form(monkeypatch):
+    rng = np.random.default_rng(5)
+    ratios = np.exp(rng.uniform(np.log(1e-2), 0.0, 500))
+    b0 = np.stack([singular_value_block(rng, (1.0, t, t * rng.uniform()), 1.0) for t in ratios])
+    reference = np.linalg.svd(b0, compute_uv=False).sum(axis=-1)
+    calls = svd_calls(monkeypatch)
+    norms = with_gap_zero_block(b0).trace_norm
+    assert np.all(np.abs(norms - reference) <= 6 * EPS * reference)
+    assert sum(shape[0] for shape in calls) <= 0.02 * len(b0)
+
+
+def test_states_off_the_gap_blocks_take_the_svd_of_k(monkeypatch):
+    # Non-zero cells off the blocks (a from_elements state), unequal levels and level 4 are each the
+    # SVD of the whole of K, unchanged.
+    rng = np.random.default_rng(8)
+    dense = FockDensity.from_elements(random_real_mixed(rng, 9).reshape(3, 3, 3, 3))
+    deep = lossy_density(0.7, 0.45, 4)
+    cases = [correlation_matrix(dense, 3, 3), correlation_matrix(dense, 2, 3), correlation_matrix(deep, 4, 4),
+             correlation_matrix(deep, 3, 2)]
+    calls = svd_calls(monkeypatch)
+    for corr in cases:
+        assert corr.trace_norm == np.linalg.svd(corr.block, compute_uv=False).sum()
+    assert calls == [(1, 9, 9), (4, 9), (16, 16), (9, 4)]  # the first after its cells were checked
+
+
+def replace_block(corr, block):
+    return CorrelationMatrix(block, corr.tloos_a, corr.tloos_b, corr.reduced_a, corr.reduced_b, 0.0, 0.0)
+
+
+def test_a_batch_shares_its_bits_with_each_state():
+    # Batches of 8 or more take the closed forms on arrays, smaller ones state by state in Python
+    # floats; a state with a cell off the blocks takes the SVD in either.
+    rs, params = np.repeat([1e-6, 0.02, 0.3, 1.1, 3.0], 4), np.tile([0.1, 0.45, 0.9, 0.99], 5)
+    rho = fock_density(channel_covariance("loss", rs, params), 3, 3)
+    for level in (2, 3):
+        corr = correlation_matrix(rho, level, level)
+        block = corr.block.copy()
+        block[7, 0, -1] = block[7, -1, 0] = 1e-3
+        batch = replace_block(corr, block).trace_norm
+        singles = [replace_block(corr, block[i]).trace_norm for i in range(len(block))]
+        pairs = np.concatenate([replace_block(corr, block[i : i + 2]).trace_norm for i in range(0, len(block), 2)])
+        assert batch.tolist() == singles == pairs.tolist()
+        assert all(type(single) is np.float64 for single in singles)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("cov", [TwoModeCovariance(2.0, 1.0, 0.0), TwoModeCovariance(1.0 + 1e-35, 1.0 + 1e-35, 9.8e-36)],
+                         ids=["product", "near-product"])
+def test_product_and_near_product_states_raise_no_warning(cov, level):
+    # K is exactly 0 on the product state; on the near-product one its cells run from 5e-36 down to
+    # 1e-141, so that products of them underflow.  Warnings are errors in this suite.
+    corr = correlation_matrix(fock_density(cov, 3, 3), level, level)
+    reference = np.linalg.svd(corr.block, compute_uv=False).sum()
+    assert abs(corr.trace_norm - reference) <= 4 * EPS * reference
 
 
 # ------------------------------------------------------ criterion bound
