@@ -45,20 +45,17 @@ class CorrelationMatrix:
     def trace_norm(self):
         """Sum of the singular values of K, one per state of a batch: ||B_0||_tr + 2 sum_{g>=1} ||B_g||_tr on
         the gap blocks (_gap_cells) at equal levels 2 and 3, each a closed form (_gap_trace_norm); the SVD of K
-        for a state with a non-zero cell off the blocks or a B_0 too near rank one, and at other levels."""
+        at other levels and for a state with a B_0 too near rank one or (one test per batch) a non-zero off-block cell."""
         level, shape = self.tloos_a.level, self.block.shape
         if level != self.tloos_b.level or level > 3:
             return _svd_trace_norm(self.block)
-        order, blocks = _gap_cells(level)
+        on, off = _gap_cells(level)
         flat = self.block.reshape(-1, shape[-1] ** 2)
         if 0 < len(flat) < _FLOAT_BATCH:
-            rows = flat[:, order].tolist()
-            norm, coarse = zip(*(_gap_trace_norm(row, level, *_FLOAT_OPS) for row in rows))
-            norm, by_svd = np.array(norm), np.array([flag or any(row[blocks:]) for flag, row in zip(coarse, rows)])
+            norm, coarse = map(np.array, zip(*(_gap_trace_norm(row, level, *_FLOAT_OPS) for row in flat[:, on].tolist())))
         else:
-            cells = flat.T[order]
-            norm, coarse = _gap_trace_norm(cells, level, *_ARRAY_OPS)
-            by_svd = coarse | cells[blocks:].any(axis=0)
+            norm, coarse = _gap_trace_norm(flat.T[on], level, *_ARRAY_OPS)
+        by_svd = coarse | flat[:, off].any(axis=1)
         if by_svd.any():
             norm[by_svd] = _svd_trace_norm(self.block.reshape(-1, *shape[-2:])[by_svd])
         return norm.reshape(shape[:-2])[()]
@@ -96,15 +93,15 @@ def _gap_order(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _gap_cells(level: int) -> tuple[np.ndarray, int]:
-    """Flat indices into K (equal levels) of the cells of B_0, B_1, ..., B_(level-1), each row-major, then
-    of every cell off the gap blocks, and the count of the former.  B_-g is B_g on a state symmetric under
+def _gap_cells(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into K (equal levels) of the cells of B_0, B_1, ..., B_(level-1), each row-major, and of
+    every cell off the gap blocks, which one test per batch reads.  B_-g is B_g on a state symmetric under
     (m1, m2) <-> (n1, n2), as FockDensity's elements are (from_elements arrays to 1e-12)."""
     m, n = _gap_order(level)
     rows, cols = np.divmod(np.arange(level**4), level * level)
     gap_rows, gap_cols = (n - m)[rows], (n - m)[cols]
     blocks = [np.flatnonzero((gap_rows == g) & (gap_cols == g)) for g in range(level)]
-    return np.concatenate(blocks + [np.flatnonzero(gap_rows != gap_cols)]), sum(map(len, blocks))
+    return np.concatenate(blocks), np.flatnonzero(gap_rows != gap_cols)
 
 
 # Batches smaller than this take the closed forms state by state in Python floats, which round as

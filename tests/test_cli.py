@@ -247,6 +247,12 @@ def test_rrange_without_blind_region_exits_3(capsys, channel, direction):
     assert out == f"no Gaussian-blind region for {channel} {direction}\n"
 
 
+def test_rrange_without_detection_in_the_blind_region_exits_3(capsys):
+    # The loss channel has a Gaussian-blind region at every r, but level 3 detects in it only from r = 0.364.
+    assert run_cli("rrange", "--channel", "loss", "--level", "3", "--r-max", "0.3") == 3
+    assert capsys.readouterr().out == "no detection inside the Gaussian-blind region\n"
+
+
 @pytest.mark.parametrize(
     "flags, bad",
     [

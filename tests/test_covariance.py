@@ -95,6 +95,11 @@ def test_loss_rejects_bad_eta():
             apply_loss(cov, eta)
 
 
+def test_loss_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match=r"^mode must be 'A' or 'B', got 'C'$"):
+        apply_loss(tmsv_covariance(0.5), 0.5, "C")
+
+
 def test_loss_matches_beamsplitter_dilation():
     for r in (0.2, 0.6, 1.1):
         for eta in (0.15, 0.5, 0.9):

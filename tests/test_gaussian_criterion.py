@@ -52,6 +52,11 @@ def test_rejects_unphysical():
         gaussian_steerable(TwoModeCovariance(0.5, 0.5, 0.0), B_TO_A)
 
 
+def test_rejects_an_unknown_direction():
+    with pytest.raises(ValueError, match=r"^unknown direction 'x'$"):
+        gaussian_margin(tmsv_covariance(0.5), "x")
+
+
 def assert_same_sign(cov, direction):
     oracle = schur_margin(cov, direction)
     if abs(oracle) < 1e-9:  # exact boundary point, both margins vanish

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -101,6 +102,21 @@ def test_spec_takes_whole_float_steps(r_range, param_range):
 def test_spec_rejects_non_finite_bounds(field, bounds):
     with pytest.raises(ValueError, match="must be finite"):
         small_spec(**{field: bounds})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: small_spec(criteria=(("gaussian", "x"),)), "unknown direction 'x'"),
+        (lambda: squeezing_range("loss", "tloo-n2", "x"), "unknown direction 'x'"),
+        (lambda: batch_margins("loss", np.array([0.5]), np.array([0.5]), (("bogus", B_TO_A),)),
+         "unknown criterion in (('bogus', 'b-to-a'),)"),
+    ],
+    ids=["SweepSpec", "squeezing_range", "batch_margins"],
+)
+def test_refuses_an_unknown_direction_or_criterion(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_spec_bounds_grid_size():

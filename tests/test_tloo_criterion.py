@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -474,6 +475,20 @@ def test_witness_rejects_non_violating_state():
     rho = lossy_density(1.2, 0.45)
     with pytest.raises(ValueError):
         build_witness(rho, 2, 2, B_TO_A)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rho: criterion_rhs(correlation_matrix(rho, 2, 2), "x"), "unknown direction 'x'"),
+        (lambda rho: build_witness(rho, 2, 2, "x"), "unknown direction 'x'"),
+        (lambda rho: correlation_matrix(rho, 2, 2, build_tloos(3)), "observable sets do not match the requested levels"),
+    ],
+    ids=["criterion_rhs", "build_witness", "correlation_matrix"],
+)
+def test_refuses_a_bad_direction_or_observable_set(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(lossy_density(0.4, 0.45))
 
 
 def test_witness_diagonal_equals_singular_values():
