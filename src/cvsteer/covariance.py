@@ -91,7 +91,7 @@ def tmsv_covariance(r) -> TwoModeCovariance:
 
 def _require(ok, values, message: str) -> None:
     """Raise ValueError(message) naming the first value where ok is False."""
-    if not np.all(ok):
+    if not ok.all():
         raise ValueError(f"{message}, got {np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0]}")
 
 

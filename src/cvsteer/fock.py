@@ -44,14 +44,22 @@ def _sqrt_det_gamma_plus_identity(cov: TwoModeCovariance):
 
 @functools.cache
 def _sector_plan(shape: tuple[int, int, int, int]):
-    """Sector cells of a table of this shape, the offset of each one's first term, and every term's orders."""
+    """What a table of this shape needs that depends on the shape alone, built once and read-only: the sector
+    cells (m1 - m2 = n1 - n2), the offset of each one's first term, every term's orders, the factorials n! up
+    to the largest degree, sqrt(m1! m2! n1! n2!) on the sector cells, and the identities of the first two axes."""
     cells, orders = zip(*[(cell, (m2 - d, n2 - d, m1 - m2 + d, d)) for cell, (m1, m2, n1, n2) in enumerate(np.ndindex(shape))
                           if m1 - m2 == n1 - n2 for d in range(max(0, m2 - m1), min(m2, n2) + 1)])
     cells, starts = np.unique(cells, return_index=True)
-    return np.unravel_index(cells, shape), starts, np.array(orders).T
+    cells = np.unravel_index(cells, shape)
+    factorials = np.array([math.factorial(n) for n in range(max(shape))], dtype=float)
+    roots = np.sqrt(factorials[cells[0]] * factorials[cells[1]] * factorials[cells[2]] * factorials[cells[3]])  # exact products
+    orders, eyes = np.array(orders).T, (np.eye(shape[0]), np.eye(shape[1]))
+    for array in (*cells, starts, orders, factorials, roots, *eyes):
+        array.setflags(write=False)
+    return cells, starts, orders, factorials, roots, eyes
 
 
-def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -> np.ndarray:
+def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int], _prefactor=None) -> np.ndarray:
     """Taylor table of exp(-y^T R y) truncated at the given per-variable degrees.
 
     Entry [..., p1, p2, p3, p4] is the coefficient c[p] of y1^p1 y2^p2 y3^p3 y4^p4, the kernel's batch axes in front.
@@ -59,13 +67,18 @@ def _exp_neg_quadratic(kernel: np.ndarray, degrees: tuple[int, int, int, int]) -
     terms (y1 y2)^(m2 - d) (y3 y4)^(n2 - d) (y1 y3)^(j + d) (y2 y4)^d of exp(u (y1 y2 + y3 y4) + v y1 y3 + x y2 y4)
     all have j = m1 - m2 = n1 - n2: c = 0 off that sector, and on it c sums u^(m2 + n2 - 2d) v^(j + d) x^d / ((m2 - d)!
     (n2 - d)! (j + d)! d!) over max(0, -j) <= d <= min(m2, n2), at most min(m2, n2) + 1 terms, elementwise per state.
+    fock_density passes its prefactor (one per state): each sector entry is then multiplied by _prefactor *
+    sqrt(m1! m2! n1! n2!) before it is scattered, which gives the Fock elements.
     """
-    shape, k = tuple(d + 1 for d in degrees), np.arange(max(degrees) + 1)
-    u, v, x = ((-2.0 * kernel[..., i, j, None]) ** k / [math.factorial(n) for n in k] for i, j in ((0, 1), (0, 2), (1, 3)))
-    cells, starts, orders = _sector_plan(shape)
-    terms = u[..., orders[0]] * u[..., orders[1]] * v[..., orders[2]] * x[..., orders[3]]  # u, v, x hold w^n / n!
+    shape = tuple(d + 1 for d in degrees)
+    cells, starts, orders, factorials, roots, _ = _sector_plan(shape)
+    powers = (-2.0 * kernel[..., (0, 0, 1), (1, 2, 3), None]) ** np.arange(factorials.size) / factorials
+    u, v, x = powers[..., 0, :], powers[..., 1, :], powers[..., 2, :]  # w^n / n! for w = u, v, x
+    sums = np.add.reduceat(u[..., orders[0]] * u[..., orders[1]] * v[..., orders[2]] * x[..., orders[3]], starts, axis=-1)
+    if _prefactor is not None:
+        sums *= np.multiply.outer(_prefactor, roots)
     table = np.zeros(kernel.shape[:-2] + shape)
-    table[(...,) + cells] = np.add.reduceat(terms, starts, axis=-1)
+    table[(...,) + cells] = sums
     return table
 
 
@@ -137,8 +150,10 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     each state of a batch.
 
     One Taylor table of the generating function yields every element with
-    indices below the cutoffs.  Raises if a cutoff lies outside 1..MAX_ORDER + 1
-    (see MAX_ORDER) or a covariance is unphysical.
+    indices below the cutoffs: its sector sums are scaled and scattered into a
+    zero table, and the constants of the cutoff pair come from its cached plan
+    (_sector_plan), so every returned array is new.  Raises if a cutoff lies
+    outside 1..MAX_ORDER + 1 (see MAX_ORDER) or a covariance is unphysical.
     """
     if n_a < 1 or n_b < 1:
         raise ValueError(f"cutoffs must be >= 1, got ({n_a}, {n_b})")
@@ -146,23 +161,33 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
         raise ValueError(f"cutoffs above {MAX_ORDER + 1} are not supported, got ({n_a}, {n_b})")
     require_physical(cov)
 
-    table = _exp_neg_quadratic(hermite_kernel(cov), (n_a - 1, n_b - 1, n_a - 1, n_b - 1))
-    prefactor = np.asarray(4.0 / _sqrt_det_gamma_plus_identity(cov))[..., None, None, None, None]
-
-    # Factorial products (exact in floats) of (m1, m2), then of (m1, m2, n1, n2).  rho = prefactor *
-    # H / sqrt(m!...) with H = (-1)^total * (m!...) * coeff; coeff vanishes at odd totals, exp(-y^T R y) being even.
-    facs = np.multiply.outer(*(np.array([math.factorial(k) for k in range(n)], dtype=float) for n in (n_a, n_b)))
-    elements = prefactor * np.sqrt(np.multiply.outer(facs, facs)) * table
+    # rho = prefactor * H / sqrt(m!...) with H = (-1)^total * (m!...) * coeff; coeff vanishes at odd totals,
+    # exp(-y^T R y) being even, so rho = prefactor * sqrt(m!...) * coeff on the sector and 0 off it.
+    elements = _exp_neg_quadratic(hermite_kernel(cov), (n_a - 1, n_b - 1, n_a - 1, n_b - 1),
+                                  _prefactor=4.0 / _sqrt_det_gamma_plus_identity(cov))
+    eye_a, eye_b = _sector_plan((n_a, n_b, n_a, n_b))[-1]
 
     nbar_a, nbar_b = cov.mean_photons_a, cov.mean_photons_b
-    reduced_a = thermal_occupations(nbar_a, n_a)[..., None] * np.eye(n_a)
-    reduced_b = thermal_occupations(nbar_b, n_b)[..., None] * np.eye(n_b)
+    reduced_a = thermal_occupations(nbar_a, n_a)[..., None] * eye_a
+    reduced_b = thermal_occupations(nbar_b, n_b)[..., None] * eye_b
     return FockDensity(elements, reduced_a, reduced_b, nbar_a / (1.0 + nbar_a), nbar_b / (1.0 + nbar_b))
 
 
+@functools.cache
+def _json_indices(shape: tuple[int, int, int, int]) -> np.ndarray:
+    """Read-only (m1, m2, n1, n2) rows of a table of this shape, one per flat index in C order."""
+    indices = np.indices(shape, np.min_scalar_type(max(shape))).reshape(4, -1).T.copy()
+    indices.setflags(write=False)
+    return indices
+
+
 def fock_density_json(rho: FockDensity, threshold: float = 1e-14) -> dict:
-    """JSON-ready dict of a FockDensity: cutoffs plus all elements above threshold."""
-    # argwhere lists the indices in C order, i.e. (m1, m2, n1, n2) lexicographically.
-    idx = np.argwhere(np.abs(rho.elements) > threshold)
-    vals = rho.elements[tuple(idx.T)].tolist()
-    return {"cutoffs": list(rho.cutoffs), "elements": [{"idx": i, "val": v} for i, v in zip(idx.tolist(), vals)]}
+    """JSON-ready dict of one state's FockDensity: its cutoffs, and every element above threshold in magnitude
+    as {"idx": [m1, m2, n1, n2], "val": float}, in C order, i.e. (m1, m2, n1, n2) lexicographically.  Raises
+    ValueError for a batch (elements not 4-D), whose entries the cutoffs would not describe."""
+    if rho.elements.ndim != 4:
+        raise ValueError(f"expected the elements of one state, shape (na, nb, na, nb), got {rho.elements.shape}")
+    flat = rho.elements.ravel()  # C order of the logical indices, whatever the memory layout
+    kept = np.flatnonzero(np.abs(flat) > threshold)
+    idx, vals = _json_indices(rho.elements.shape)[kept].tolist(), flat[kept].tolist()
+    return {"cutoffs": list(rho.cutoffs), "elements": [{"idx": i, "val": v} for i, v in zip(idx, vals)]}

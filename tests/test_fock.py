@@ -25,7 +25,7 @@ from cvsteer import (
     tmsv_covariance,
     TwoModeCovariance,
 )
-from cvsteer.fock import _exp_neg_quadratic
+from cvsteer.fock import _exp_neg_quadratic, _json_indices, _sector_plan
 
 COSH1 = 1.5430806348152437
 SINH1 = 1.1752011936438014
@@ -303,7 +303,7 @@ def test_batched_density_matches_each_state():
     ]
     fields = [f.name for f in dataclasses.fields(TwoModeCovariance)]
     batch = TwoModeCovariance(**{f: np.array([getattr(c, f) for c in states]) for f in fields})
-    for n_a, n_b in ((1, 1), (2, 3), (4, 4), (7, 7)):
+    for n_a, n_b in itertools.product(range(1, 8), repeat=2):
         rho = fock_density(batch, n_a, n_b)
         assert rho.elements.shape == (len(states), n_a, n_b, n_a, n_b)
         for i, cov in enumerate(states):
@@ -313,6 +313,31 @@ def test_batched_density_matches_each_state():
             assert np.array_equal(rho.reduced_b[i], single.reduced_b)
             assert (rho.excited_a[i], rho.excited_b[i]) == (single.excited_a, single.excited_b)
             assert rho.trace_weight[i] == single.trace_weight
+
+
+def test_writing_into_a_result_leaves_the_next_call_unchanged():
+    # The cutoff plan is cached: nothing a caller receives may share memory with it.
+    cov = apply_gain(tmsv_covariance(0.6), 1.4, "B")
+    for n_a, n_b in ((1, 1), (2, 3), (7, 7)):
+        expected, expected_json = fock_density(cov, n_a, n_b), fock_density_json(fock_density(cov, n_a, n_b))
+        rho = fock_density(cov, n_a, n_b)
+        for array in (rho.elements, rho.reduced_a, rho.reduced_b):
+            array[...] = -1.0
+        for entry in fock_density_json(rho)["elements"]:
+            entry["idx"][:] = [-1, -1, -1, -1]
+        again = fock_density(cov, n_a, n_b)
+        for field in ("elements", "reduced_a", "reduced_b"):
+            assert np.array_equal(getattr(again, field), getattr(expected, field)), field
+        assert fock_density_json(again) == expected_json
+
+
+def test_cached_plans_are_read_only():
+    fock_density_json(fock_density(tmsv_covariance(0.5), 2, 3))
+    cells, starts, orders, factorials, roots, eyes = _sector_plan((2, 3, 2, 3))
+    for array in (*cells, starts, orders, factorials, roots, *eyes, _json_indices((2, 3, 2, 3))):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 @pytest.mark.parametrize("channel, params", [("loss", (0.05, 0.5, 1.0)), ("gain", (1.0, 1.7, 10.0))])
@@ -485,3 +510,35 @@ def test_fock_density_json_threshold():
     for idx in np.ndindex(3, 3, 3, 3):
         if abs(rho.elements[idx]) > 1e-14:
             assert idx in kept
+
+
+def _off_sector_elements():
+    # Symmetric under (m1, m2) <-> (n1, n2), with non-zero cells off m1 - m2 = n1 - n2 (the first three).
+    elements = np.zeros((2, 3, 2, 3))
+    for idx, value in {(0, 1, 1, 0): 0.125, (0, 2, 1, 1): -3e-14, (1, 0, 0, 2): 0.25, (0, 0, 0, 0): 0.5,
+                       (1, 2, 1, 2): 5e-15, (1, 1, 0, 0): -0.0625}.items():
+        elements[idx] = elements[idx[2:] + idx[:2]] = value
+    return elements
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FockDensity.from_elements(_off_sector_elements()),
+    # A bare FockDensity whose elements are a non-contiguous view.
+    lambda: FockDensity(_off_sector_elements().transpose(1, 0, 3, 2), np.eye(3), np.eye(2)),
+])
+def test_fock_density_json_lists_every_cell_above_threshold_in_c_order(make):
+    rho = make()
+    elements = rho.elements
+    payload = fock_density_json(rho, 1e-14)
+    expected = np.argwhere(np.abs(elements) > 1e-14)
+    assert payload["cutoffs"] == list(elements.shape[:2])
+    assert [entry["idx"] for entry in payload["elements"]] == expected.tolist()
+    for entry in payload["elements"]:
+        assert all(type(i) is int for i in entry["idx"])
+        assert type(entry["val"]) is float and entry["val"] == float(elements[tuple(entry["idx"])])
+
+
+def test_fock_density_json_refuses_a_batch():
+    rho = fock_density(apply_loss(tmsv_covariance(np.array([0.3, 0.5])), np.array([0.5, 0.5]), "B"), 2, 2)
+    with pytest.raises(ValueError, match=r"\(2, 2, 2, 2, 2\)"):
+        fock_density_json(rho)
