@@ -90,7 +90,9 @@ class FockDensity:
     (m1, m2) <-> (n1, n2) (rho Hermitian), which correlation_matrix assumes:
     from_elements checks raw arrays, fock_density builds exactly symmetric
     tables, swap_fock_modes keeps them so, and the bare constructor trusts its
-    input, reduced states included.  reduced_a / reduced_b are the *exact*
+    input, reduced states included.  sector: every element off m1 - m2 = n1 - n2
+    is zero, as fock_density's are (from_elements tests it); without it the
+    TLOO trace norm takes the SVD.  reduced_a / reduced_b are the *exact*
     single-mode reduced density matrices on the truncated levels, including
     the weight the other mode carries beyond its cutoff; for standard-form
     Gaussian states they are diagonal thermal states.  excited_a / excited_b
@@ -104,6 +106,7 @@ class FockDensity:
     reduced_b: np.ndarray
     excited_a: float | np.ndarray | None = None
     excited_b: float | np.ndarray | None = None
+    sector: bool = False
 
     def __post_init__(self):
         if self.excited_a is None:
@@ -122,8 +125,8 @@ class FockDensity:
 
     @classmethod
     def from_elements(cls, elements: np.ndarray) -> "FockDensity":
-        """Wrap a raw truncated array for a state supported entirely inside the
-        cutoffs; the reduced matrices are then plain partial traces.  Raises
+        """Wrap a raw truncated array for a state supported entirely inside the cutoffs; the reduced matrices
+        are then plain partial traces, and sector is whether every cell off m1 - m2 = n1 - n2 is zero.  Raises
         unless the array is real and symmetric under (m1, m2) <-> (n1, n2) to 1e-12."""
         if np.any(np.imag(elements)):  # NaN included
             raise ValueError("elements must be real: correlation_matrix computes real parts only")
@@ -135,7 +138,8 @@ class FockDensity:
             raise ValueError(f"elements are not symmetric under (m1, m2) <-> (n1, n2): they differ by {asymmetry:.3g}")
         reduced_a = np.einsum("mknk->mn", elements)
         reduced_b = np.einsum("kmkn->mn", elements)
-        return cls(elements, reduced_a, reduced_b)
+        m1, m2, n1, n2 = np.indices(elements.shape, sparse=True)
+        return cls(elements, reduced_a, reduced_b, sector=not elements[m1 - m2 != n1 - n2].any())
 
 
 def thermal_occupations(mean_photons, n: int) -> np.ndarray:
@@ -170,7 +174,7 @@ def fock_density(cov: TwoModeCovariance, n_a: int, n_b: int) -> FockDensity:
     nbar_a, nbar_b = cov.mean_photons_a, cov.mean_photons_b
     reduced_a = thermal_occupations(nbar_a, n_a)[..., None] * eye_a
     reduced_b = thermal_occupations(nbar_b, n_b)[..., None] * eye_b
-    return FockDensity(elements, reduced_a, reduced_b, nbar_a / (1.0 + nbar_a), nbar_b / (1.0 + nbar_b))
+    return FockDensity(elements, reduced_a, reduced_b, nbar_a / (1.0 + nbar_a), nbar_b / (1.0 + nbar_b), sector=True)
 
 
 @functools.cache

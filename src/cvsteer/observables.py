@@ -72,8 +72,8 @@ def uncertainty_sum(state: np.ndarray, tloos: TlooSet) -> tuple[float, float]:
     """
     state = _check_state(state, tloos)
     weight = float(np.trace(state).real)
-    if weight > 1.0 + 1e-9:
-        raise ValueError(f"state weight exceeds 1: {weight}")
+    if not weight <= 1.0 + 1e-9:  # NaN included
+        raise ValueError(f"state weight must be at most 1, got {weight}")
     return float(_variances(state, tloos).sum()), float((tloos.level - 1) * weight)
 
 
@@ -93,7 +93,7 @@ def rotate_tloos(tloos: TlooSet, rotation: np.ndarray) -> TlooSet:
     size = len(tloos)
     if rotation.shape != (size, size):
         raise ValueError(f"rotation must be {size}x{size}, got {rotation.shape}")
-    if np.abs(rotation.T @ rotation - np.eye(size)).max() > 1e-10:
+    if not np.abs(rotation.T @ rotation - np.eye(size)).max() <= 1e-10:  # NaN included
         raise ValueError("rotation matrix is not orthogonal")
     mixed = np.einsum("jl,lab->jab", rotation, tloos.matrices)
     return TlooSet(tloos.level, mixed)

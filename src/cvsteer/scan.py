@@ -227,7 +227,7 @@ def write_sweep_csv(result: SweepResult, stream) -> None:
     labels = [f"{criterion},{direction}," for criterion, direction in result.criteria]
     for start in range(0, len(result.r), _SWEEP_BATCH):
         part = slice(start, start + _SWEEP_BATCH)
-        points = [f"{r:.9g},{param:.9g}," for r, param in zip(result.r[part].tolist(), result.param[part].tolist())]
+        points = [f"{r},{param}," for r, param in zip(_formatted(result.r[part], ".9g"), _formatted(result.param[part], ".9g"))]
         columns = [
             [f"{label}{m:.9g},{'true' if s else 'false'}\r\n"
              for m, s in zip(margins[part].tolist(), flags[part].tolist())]
@@ -243,7 +243,7 @@ def write_sweep_json(result: SweepResult, stream) -> None:
     for start in range(0, len(result.r) if labels else 0, _SWEEP_BATCH):  # no pairs, no records
         part = slice(start, start + _SWEEP_BATCH)
         points = [f'  {{\n    "r": {r},\n    "param": {param},\n'
-                  for r, param in zip(_reprs(result.r[part]), _reprs(result.param[part]))]
+                  for r, param in zip(_formatted(result.r[part], ""), _formatted(result.param[part], ""))]
         columns = [
             [f'{label}{m!r},\n    "steerable": {"true" if s else "false"}\n  }}'
              for m, s in zip(margins[part].tolist(), flags[part].tolist())]
@@ -254,11 +254,11 @@ def write_sweep_json(result: SweepResult, stream) -> None:
     stream.write("\n]\n" if len(result.r) and labels else "[]\n")
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """repr of each float of a 1-D array, each distinct value (by its bits: 0.0 and -0.0 apart) formatted once."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [repr(value) for value in bits.view(np.float64).tolist()]
-    return [text[i] for i in inverse.tolist()]
+def _formatted(values: np.ndarray, spec: str) -> list[str]:
+    """format(value, spec) of each float of a 1-D array ("" is repr), each distinct value (by its bits) formatted once."""
+    text = {}
+    return [text[bits] if bits in text else text.setdefault(bits, format(value, spec))
+            for bits, value in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
 def find_boundary(channel: str, r: float, criterion: str, direction: str) -> float | None:

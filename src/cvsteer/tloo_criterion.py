@@ -31,34 +31,40 @@ from .verdict import A_TO_B, B_TO_A, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Realigned covariance block K of a two-mode state (or a batch), the observable sets and the local data."""
+    """A two-mode state (or a batch), the observable sets and the truncated reduced states; K and C on first read."""
 
-    block: np.ndarray  # K[(m n), (p q)] = <m p|rho|n q> - <m|rho_A|n><p|rho_B|q>, real, (m n) in _gap_order
+    rho: FockDensity
     tloos_a: TlooSet
     tloos_b: TlooSet
     reduced_a: np.ndarray  # (level_a, level_a) truncated reduced state
     reduced_b: np.ndarray
-    excited_a: float | np.ndarray  # 1 - <0|rho_A|0>, exact
-    excited_b: float | np.ndarray
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """K[(m n), (p q)] = <m p|rho|n q> - <m|rho_A|n><p|rho_B|q>, real, (m n) in _gap_order."""
+        (m_a, n_a), (m_b, n_b) = _gap_order(self.tloos_a.level), _gap_order(self.tloos_b.level)
+        block = self.rho.elements[..., m_a[:, None], m_b, n_a[:, None], n_b]
+        block -= self.reduced_a[..., m_a, n_a][..., :, None] * self.reduced_b[..., m_b, n_b][..., None, :]
+        return block
 
     @cached_property
     def trace_norm(self):
         """Sum of the singular values of K, one per state of a batch: ||B_0||_tr + 2 sum_{g>=1} ||B_g||_tr on
-        the gap blocks (_gap_cells) at equal levels 2 and 3, each a closed form (_gap_trace_norm); the SVD of K
-        at other levels and for a state with a B_0 too near rank one or (one test per batch) a non-zero off-block cell."""
-        level, shape = self.tloos_a.level, self.block.shape
-        if level != self.tloos_b.level or level > 3:
+        the gap blocks (_gap_cells, read from rho and the reduced states) of a sector state at equal levels 2
+        and 3, each a closed form (_gap_trace_norm); the SVD of K otherwise and for a B_0 too near rank one."""
+        level, batch = self.tloos_a.level, self.rho.elements.shape[:-4]
+        if level != self.tloos_b.level or level > 3 or not self.rho.sector:
             return _svd_trace_norm(self.block)
-        on, off = _gap_cells(level)
-        flat = self.block.reshape(-1, shape[-1] ** 2)
-        if 0 < len(flat) < _FLOAT_BATCH:
-            norm, coarse = map(np.array, zip(*(_gap_trace_norm(row, level, *_FLOAT_OPS) for row in flat[:, on].tolist())))
+        m_a, m_b, n_a, n_b = _gap_cells(level)
+        cells = self.rho.elements[..., m_a, m_b, n_a, n_b] - self.reduced_a[..., m_a, n_a] * self.reduced_b[..., m_b, n_b]
+        cells = cells.reshape(-1, len(m_a))
+        if 0 < len(cells) < _FLOAT_BATCH:
+            norm, coarse = map(np.array, zip(*(_gap_trace_norm(row, level, *_FLOAT_OPS) for row in cells.tolist())))
         else:
-            norm, coarse = _gap_trace_norm(flat.T[on], level, *_ARRAY_OPS)
-        by_svd = coarse | flat[:, off].any(axis=1)
-        if by_svd.any():
-            norm[by_svd] = _svd_trace_norm(self.block.reshape(-1, *shape[-2:])[by_svd])
-        return norm.reshape(shape[:-2])[()]
+            norm, coarse = _gap_trace_norm(cells.T, level, *_ARRAY_OPS)
+        if np.any(coarse):
+            norm[coarse] = _svd_trace_norm(self.block.reshape(-1, *self.block.shape[-2:])[coarse])
+        return norm.reshape(batch)[()]
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -76,10 +82,10 @@ class CorrelationMatrix:
 
     def trusted_factor_a(self):
         """Tr rho_A - Tr rho_A^2 on the truncated levels."""
-        return _trusted_factor(self.reduced_a, self.excited_a)
+        return _trusted_factor(self.reduced_a, self.rho.excited_a)
 
     def trusted_factor_b(self):
-        return _trusted_factor(self.reduced_b, self.excited_b)
+        return _trusted_factor(self.reduced_b, self.rho.excited_b)
 
 
 @cache
@@ -93,15 +99,13 @@ def _gap_order(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _gap_cells(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into K (equal levels) of the cells of B_0, B_1, ..., B_(level-1), each row-major, and of
-    every cell off the gap blocks, which one test per batch reads.  B_-g is B_g on a state symmetric under
-    (m1, m2) <-> (n1, n2), as FockDensity's elements are (from_elements arrays to 1e-12)."""
+def _gap_cells(level: int) -> tuple[np.ndarray, ...]:
+    """(m_a, m_b, n_a, n_b) of the cells K[(m_a n_a), (m_b n_b)] (equal levels) of B_0, B_1, ..., B_(level-1),
+    each row-major.  B_-g is B_g on a state symmetric under (m1, m2) <-> (n1, n2), as FockDensity's elements
+    are (from_elements arrays to 1e-12)."""
     m, n = _gap_order(level)
-    rows, cols = np.divmod(np.arange(level**4), level * level)
-    gap_rows, gap_cols = (n - m)[rows], (n - m)[cols]
-    blocks = [np.flatnonzero((gap_rows == g) & (gap_cols == g)) for g in range(level)]
-    return np.concatenate(blocks), np.flatnonzero(gap_rows != gap_cols)
+    rows, cols = np.nonzero(np.equal.outer(n - m, n - m) & (n >= m)[:, None])  # row-major: K's rows run by gap
+    return m[rows], m[cols], n[rows], n[cols]
 
 
 # Batches smaller than this take the closed forms state by state in Python floats, which round as
@@ -185,9 +189,9 @@ def correlation_matrix(
 
     The observables act inside the cutoffs, so the joint expectations are
     exact functions of the truncated elements; the local terms come from the
-    exact reduced states carried by rho.  The realigned block is taken with
-    one index into the elements, which FockDensity keeps real.  Alternative
-    (e.g. rotated) observable sets may be supplied; the margin reads none.
+    exact reduced states carried by rho.  K is built on first read (entries,
+    the SVD); a sector state's margin reads its gap-block cells from rho.
+    Alternative (e.g. rotated) observable sets may be supplied; the margin reads none.
     """
     tloos_a = tloos_a if tloos_a is not None else build_tloos(level_a)
     tloos_b = tloos_b if tloos_b is not None else build_tloos(level_b)
@@ -195,13 +199,8 @@ def correlation_matrix(
         raise ValueError("observable sets do not match the requested levels")
     if level_a > rho.cutoffs[0] or level_b > rho.cutoffs[1]:
         raise ValueError(f"truncation levels ({level_a}, {level_b}) exceed density cutoffs {rho.cutoffs}")
-
-    (m_a, n_a), (m_b, n_b) = _gap_order(level_a), _gap_order(level_b)
-    red_a = rho.reduced_a[..., :level_a, :level_a]
-    red_b = rho.reduced_b[..., :level_b, :level_b]
-    block = rho.elements[..., m_a[:, None], m_b, n_a[:, None], n_b]
-    block -= red_a[..., m_a, n_a][..., :, None] * red_b[..., m_b, n_b][..., None, :]
-    return CorrelationMatrix(block, tloos_a, tloos_b, red_a, red_b, rho.excited_a, rho.excited_b)
+    red_a, red_b = rho.reduced_a[..., :level_a, :level_a], rho.reduced_b[..., :level_b, :level_b]
+    return CorrelationMatrix(rho, tloos_a, tloos_b, red_a, red_b)
 
 
 def criterion_rhs(corr: CorrelationMatrix, direction: str = B_TO_A):
@@ -306,6 +305,7 @@ def build_witness(
         raise ValueError(f"state is not flagged steerable ({direction}); no witness exists")
     u, singular, vt = np.linalg.svd(corr.entries)
     rotated = replace(corr, tloos_a=rotate_tloos(corr.tloos_a, u.T), tloos_b=rotate_tloos(corr.tloos_b, vt))
+    vars(rotated)["block"] = corr.block  # the rotated sets share K, gathered once
     diag = np.diag(rotated.entries)[: min(len(rotated.tloos_a), len(rotated.tloos_b))].copy()
     if abs(diag.sum() - singular.sum()) > 1e-9:
         raise RuntimeError("rotated diagonal correlations do not reproduce the trace norm")
@@ -324,4 +324,5 @@ def swap_fock_modes(rho: FockDensity) -> FockDensity:
         rho.reduced_a,
         rho.excited_b,
         rho.excited_a,
+        rho.sector,
     )

@@ -130,6 +130,17 @@ def test_default_sweep_csv_is_pinned(capsys, channel, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "channel, digest",
+    [("loss", "04038d4de3d4e3a1945d4b82d758ad99b3d132444117dcdfeba0b81a34fd1e5d"),
+     ("gain", "3ebd57a148ef39f175acf192a6178b7bf1671c29f5cd998f4683491196a9e889")],
+)
+def test_default_sweep_json_is_pinned(capsys, channel, digest):
+    # The default grid as JSON, written at commit 2a4942e: every margin, r and parameter at full precision (repr).
+    assert run_cli("sweep", "--channel", channel, "--format", "json") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_sweep_rejects_degenerate_range(capsys):
     code = run_cli(
         "sweep", "--channel", "loss",

@@ -315,6 +315,21 @@ def test_batched_density_matches_each_state():
             assert rho.trace_weight[i] == single.trace_weight
 
 
+@pytest.mark.parametrize("channel, params", [("loss", [0.5, 0.05, 0.9, 0.45]), ("gain", [1.5, 1.01, 3.0, 1.2])])
+def test_fock_density_is_zero_off_the_sector_and_says_so(channel, params):
+    # The TLOO trace norm takes its closed forms on the sector flag alone, without reading the cells
+    # off m1 - m2 = n1 - n2, so every fock_density state must carry the flag and exact zeros there.
+    rs = [0.0, 0.3, 1.4, 5.0]
+    for n_a, n_b in itertools.product(range(1, 8), repeat=2):
+        m1, m2, n1, n2 = np.indices((n_a, n_b, n_a, n_b), sparse=True)
+        off = m1 - m2 != n1 - n2
+        batch = fock_density(channel_covariance(channel, np.array(rs), np.array(params)), n_a, n_b)
+        singles = [fock_density(channel_covariance(channel, r, p), n_a, n_b) for r, p in zip(rs, params)]
+        for rho in (batch, *singles):
+            assert rho.sector is True
+            assert not rho.elements[..., off].any()
+
+
 def test_writing_into_a_result_leaves_the_next_call_unchanged():
     # The cutoff plan is cached: nothing a caller receives may share memory with it.
     cov = apply_gain(tmsv_covariance(0.6), 1.4, "B")

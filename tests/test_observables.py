@@ -98,6 +98,11 @@ def test_uncertainty_rejects_overweight_state():
         uncertainty_sum(np.diag([0.8, 0.8]), build_tloos(2))
 
 
+def test_uncertainty_rejects_a_nan_state():
+    with pytest.raises(ValueError, match="^state weight must be at most 1, got nan$"):
+        uncertainty_sum(np.diag([np.nan, 0.5]), build_tloos(2))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_uncertainty_random_mixed(n):
     rng = np.random.default_rng(42 + n)
@@ -183,3 +188,11 @@ def test_rotate_rejects_nonorthogonal():
         rotate_tloos(tloos, np.eye(4) * 1.01)
     with pytest.raises(ValueError):
         rotate_tloos(tloos, np.eye(9))
+
+
+def test_rotate_rejects_a_nan_rotation():
+    # A NaN entry would otherwise give NaN observables, and NaN correlation entries after them.
+    rotation = np.eye(4)
+    rotation[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^rotation matrix is not orthogonal$"):
+        rotate_tloos(build_tloos(2), rotation)

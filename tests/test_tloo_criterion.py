@@ -1,5 +1,6 @@
 import math
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -29,13 +30,13 @@ from cvsteer import (
     paired_variance_sum,
     rotate_tloos,
     swap_fock_modes,
+    tloo_margin,
     tloo_steerable,
     tmsv_covariance,
     uncertainty_sum,
 )
 from cvsteer import tloo_criterion
 from cvsteer.covariance import TwoModeCovariance
-from cvsteer.tloo_criterion import CorrelationMatrix
 
 
 def lossy_density(r, eta, n=2):
@@ -153,13 +154,13 @@ def svd_calls(monkeypatch):
 
 
 def with_gap_zero_block(b0):
-    """A level-3 correlation matrix whose K holds b0 (3x3, or a stack) as B_0 and zeros elsewhere."""
-    m, n = tloo_criterion._gap_order(3)
-    diagonal = np.flatnonzero(m == n)
-    block = np.zeros(b0.shape[:-2] + (9, 9))
-    block[..., diagonal[:, None], diagonal] = b0
+    """A level-3 correlation matrix whose K holds b0 (3x3, or a stack) as B_0 and zeros elsewhere: a bare
+    sector state with elements[..., m, p, m, p] = b0[..., m, p], every other cell zero, zero reduced states."""
+    m, p = np.indices((3, 3))
+    elements = np.zeros(b0.shape[:-2] + (3, 3, 3, 3))
+    elements[..., m, p, m, p] = b0
     zeros = np.zeros(b0.shape[:-2] + (3, 3))
-    return CorrelationMatrix(block, build_tloos(3), build_tloos(3), zeros, zeros, 0.0, 0.0)
+    return correlation_matrix(FockDensity(elements, zeros, zeros, sector=True), 3, 3)
 
 
 def singular_value_block(rng, singular_values, scale):
@@ -224,7 +225,7 @@ def test_dense_well_conditioned_blocks_take_the_closed_form(monkeypatch):
 
 
 def test_states_off_the_gap_blocks_take_the_svd_of_k(monkeypatch):
-    # Non-zero cells off the blocks (a from_elements state), unequal levels and level 4 are each the
+    # Non-zero cells off the sector (a from_elements state), unequal levels and level 4 are each the
     # SVD of the whole of K, unchanged.
     rng = np.random.default_rng(8)
     dense = FockDensity.from_elements(random_real_mixed(rng, 9).reshape(3, 3, 3, 3))
@@ -234,27 +235,63 @@ def test_states_off_the_gap_blocks_take_the_svd_of_k(monkeypatch):
     calls = svd_calls(monkeypatch)
     for corr in cases:
         assert corr.trace_norm == np.linalg.svd(corr.block, compute_uv=False).sum()
-    assert calls == [(1, 9, 9), (4, 9), (16, 16), (9, 4)]  # the first after its cells were checked
+    assert calls == [(9, 9), (4, 9), (16, 16), (9, 4)]
 
 
-def replace_block(corr, block):
-    return CorrelationMatrix(block, corr.tloos_a, corr.tloos_b, corr.reduced_a, corr.reduced_b, 0.0, 0.0)
+def test_sector_support_decides_the_route(monkeypatch):
+    # The closed forms need every cell off m1 - m2 = n1 - n2 to be zero, which fock_density states carry
+    # and from_elements decides from its array; a bare FockDensity without the flag takes the SVD of K.
+    exact = lossy_density(0.7, 0.45, 3)
+    off = exact.elements.copy()
+    off[0, 1, 1, 0] = off[1, 0, 0, 1] = 1e-3
+    states = [exact, FockDensity.from_elements(exact.elements), FockDensity.from_elements(off),
+              FockDensity(exact.elements, exact.reduced_a, exact.reduced_b)]
+    assert [rho.sector for rho in states] == [True, True, False, False]
+    assert [swap_fock_modes(rho).sector for rho in states] == [True, True, False, False]
+    calls = svd_calls(monkeypatch)
+    for level in (2, 3):
+        for rho in states:
+            corr = correlation_matrix(rho, level, level)
+            norm = corr.trace_norm
+            assert abs(norm - np.linalg.svd(corr.block, compute_uv=False).sum()) <= 4 * EPS * norm
+    assert calls == [(4, 4), (4, 4), (9, 9), (9, 9)]
 
 
-def test_a_batch_shares_its_bits_with_each_state():
+@pytest.mark.parametrize("size", [1, 7, 8, 20])
+@pytest.mark.parametrize("level", [2, 3])
+def test_a_fock_density_margin_builds_no_k(size, level):
+    rho = fock_density(channel_covariance("gain", np.linspace(0.05, 1.4, size), np.linspace(1.01, 2.5, size)), 3, 3)
+    corr = correlation_matrix(rho, level, level)
+    margin = tloo_margin(corr)
+    assert margin.shape == (size,)
+    assert "block" not in corr.__dict__
+    reference = np.linalg.svd(corr.block, compute_uv=False).sum(axis=-1)
+    assert np.all(np.abs(corr.trace_norm - reference) <= 4 * EPS * reference)
+
+
+def part_of(rho, part):
+    return FockDensity(rho.elements[part], rho.reduced_a[part], rho.reduced_b[part], rho.excited_a[part],
+                       rho.excited_b[part], rho.sector)
+
+
+def test_a_batch_shares_its_bits_with_each_state(monkeypatch):
     # Batches of 8 or more take the closed forms on arrays, smaller ones state by state in Python
-    # floats; a state with a cell off the blocks takes the SVD in either.
+    # floats; a state whose B_0 is too near rank one for its determinant (state 7 at level 3) takes
+    # the SVD in either.
     rs, params = np.repeat([1e-6, 0.02, 0.3, 1.1, 3.0], 4), np.tile([0.1, 0.45, 0.9, 0.99], 5)
     rho = fock_density(channel_covariance("loss", rs, params), 3, 3)
+    m, p = np.indices((3, 3))
+    rho.elements[7, m, p, m, p] = singular_value_block(np.random.default_rng(7), (1.0, 1e-7, 1e-8), 1.0)
+    rho.reduced_a[7] = rho.reduced_b[7] = 0.0
+    calls = svd_calls(monkeypatch)
     for level in (2, 3):
-        corr = correlation_matrix(rho, level, level)
-        block = corr.block.copy()
-        block[7, 0, -1] = block[7, -1, 0] = 1e-3
-        batch = replace_block(corr, block).trace_norm
-        singles = [replace_block(corr, block[i]).trace_norm for i in range(len(block))]
-        pairs = np.concatenate([replace_block(corr, block[i : i + 2]).trace_norm for i in range(0, len(block), 2)])
+        batch = correlation_matrix(rho, level, level).trace_norm
+        singles = [correlation_matrix(part_of(rho, i), level, level).trace_norm for i in range(len(rs))]
+        pairs = np.concatenate([correlation_matrix(part_of(rho, slice(i, i + 2)), level, level).trace_norm
+                                for i in range(0, len(rs), 2)])
         assert batch.tolist() == singles == pairs.tolist()
         assert all(type(single) is np.float64 for single in singles)
+    assert calls == [(1, 9, 9)] * 3
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -388,16 +425,26 @@ def test_witness_minimises_its_paired_sum_at_unequal_levels():
 
 
 def test_witness_assembles_each_correlation_matrix_once(monkeypatch):
-    # One matrix for the margin; the rotated sets share its realigned block, and the paired sum reuses them.
-    calls = []
+    # One matrix for the margin, which builds no K; the rotated sets share the K that the first entries
+    # build, and the paired sum reuses them.
+    calls, blocks = [], []
 
     def counted(*args):
         calls.append(args)
         return correlation_matrix(*args)
 
+    def counted_block(corr):
+        blocks.append(corr.tloos_a)
+        return build_block(corr)
+
+    build_block = tloo_criterion.CorrelationMatrix.block.func
+    block = cached_property(counted_block)
+    block.__set_name__(tloo_criterion.CorrelationMatrix, "block")
+    monkeypatch.setattr(tloo_criterion.CorrelationMatrix, "block", block)
     monkeypatch.setattr("cvsteer.tloo_criterion.correlation_matrix", counted)
     build_witness(fock_density(channel_covariance("loss", 0.4, 0.45), 3, 3), 2, 2, B_TO_A)
     assert len(calls) == 1
+    assert len(blocks) == 1
 
 
 @pytest.mark.parametrize(
