@@ -188,9 +188,11 @@ def _json_indices(shape: tuple[int, int, int, int]) -> np.ndarray:
 def fock_density_json(rho: FockDensity, threshold: float = 1e-14) -> dict:
     """JSON-ready dict of one state's FockDensity: its cutoffs, and every element above threshold in magnitude
     as {"idx": [m1, m2, n1, n2], "val": float}, in C order, i.e. (m1, m2, n1, n2) lexicographically.  Raises
-    ValueError for a batch (elements not 4-D), whose entries the cutoffs would not describe."""
+    ValueError for a batch (elements not 4-D), whose entries the cutoffs would not describe, or a NaN or negative threshold."""
     if rho.elements.ndim != 4:
         raise ValueError(f"expected the elements of one state, shape (na, nb, na, nb), got {rho.elements.shape}")
+    if not threshold >= 0.0:  # NaN included
+        raise ValueError(f"threshold must be a number >= 0, got {threshold}")
     flat = rho.elements.ravel()  # C order of the logical indices, whatever the memory layout
     kept = np.flatnonzero(np.abs(flat) > threshold)
     idx, vals = _json_indices(rho.elements.shape)[kept].tolist(), flat[kept].tolist()

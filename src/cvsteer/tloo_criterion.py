@@ -8,11 +8,11 @@ model for the untrusted mode must satisfy
 
 where w_A, w_B are the weights on the truncated levels; the trusted factor
 carries no level multiplier while the untrusted one does.  Neither side needs
-an observable basis: C = T_a K T_b^T with T_a, T_b unitary and K the realigned
-covariance block, and sum <A_i>^2 = Tr rho_A^2 for any TLOO set, so the trusted
-factor Tr rho_A - Tr rho_A^2 does not cancel on a near-vacuum marginal.
-On a Gaussian state K splits into 1x1, 2x2 and 3x3 blocks at levels 2 and 3,
-whose trace norms have closed forms, so the margin needs no LAPACK call there.
+an observable basis: C = T_a K T_b^T with T_a, T_b unitary and K the realignment
+of rho - rho_A x rho_B, and sum <A_i>^2 = Tr rho_A^2 for any TLOO set, so the
+trusted factor Tr rho_A - Tr rho_A^2 does not cancel on a near-vacuum marginal.
+On a Gaussian state K is zero off its gap blocks K[(i i+g), (j j+g)], 1x1, 2x2
+and 3x3 at levels 2 and 3, with closed-form trace norms: no LAPACK call there.
 Violations come with an explicit witness: rotating both observable sets by the
 singular-value factors of C concentrates all correlation on the diagonal, where
 a single linear-estimate variance sum beats its uncertainty bound.
@@ -41,11 +41,8 @@ class CorrelationMatrix:
 
     @cached_property
     def block(self) -> np.ndarray:
-        """K[(m n), (p q)] = <m p|rho|n q> - <m|rho_A|n><p|rho_B|q>, real, (m n) in _gap_order."""
-        (m_a, n_a), (m_b, n_b) = _gap_order(self.tloos_a.level), _gap_order(self.tloos_b.level)
-        block = self.rho.elements[..., m_a[:, None], m_b, n_a[:, None], n_b]
-        block -= self.reduced_a[..., m_a, n_a][..., :, None] * self.reduced_b[..., m_b, n_b][..., None, :]
-        return block
+        """K[(m n), (p q)] = <m p|rho|n q> - <m|rho_A|n><p|rho_B|q>, real: rho - rho_A x rho_B realigned."""
+        return _realigned(self.rho.elements, self.reduced_a, self.reduced_b)
 
     @cached_property
     def trace_norm(self):
@@ -62,15 +59,15 @@ class CorrelationMatrix:
             norm, coarse = map(np.array, zip(*(_gap_trace_norm(row, level, *_FLOAT_OPS) for row in cells.tolist())))
         else:
             norm, coarse = _gap_trace_norm(cells.T, level, *_ARRAY_OPS)
-        if np.any(coarse):
-            norm[coarse] = _svd_trace_norm(self.block.reshape(-1, *self.block.shape[-2:])[coarse])
+        if np.any(coarse):  # K of only these states, not cached
+            mask = coarse.reshape(batch)
+            norm[coarse] = _svd_trace_norm(_realigned(self.rho.elements[mask], self.reduced_a[mask], self.reduced_b[mask]))
         return norm.reshape(batch)[()]
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """TLOO covariances C_ij = <A_i x B_j> - <A_i><B_j> = (T_a K T_b^T)_ij, T[j, (m n)] = <n|A_j|m>."""
-        (m_a, n_a), (m_b, n_b) = _gap_order(self.tloos_a.level), _gap_order(self.tloos_b.level)
-        t_a, t_b = self.tloos_a.matrices[:, n_a, m_a], self.tloos_b.matrices[:, n_b, m_b]
+        """TLOO covariances C_ij = <A_i x B_j> - <A_i><B_j> = (T_a K T_b^T)_ij, T[j, (m n)] = <n|A_j|m> row-major."""
+        t_a, t_b = (tloos.matrices.swapaxes(-1, -2).reshape(len(tloos), -1) for tloos in (self.tloos_a, self.tloos_b))
         return (t_a @ self.block @ t_b.T).real
 
     def variance_sum_a(self):
@@ -88,24 +85,19 @@ class CorrelationMatrix:
         return _trusted_factor(self.reduced_b, self.rho.excited_b)
 
 
-@cache
-def _gap_order(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, n) of each realigned index by its gap n - m, then by m: K of a fock_density state, zero off
-    m1 - m2 = n1 - n2, is then block-diagonal, one block B_g per gap; a permutation keeps the singular
-    values of every state."""
-    m, n = np.divmod(np.arange(level * level), level)
-    order = np.argsort(n - m, kind="stable")
-    return m[order], n[order]
+def _realigned(elements, reduced_a, reduced_b) -> np.ndarray:
+    """A new K[..., (m n), (p q)] = elements[..., m, p, n, q] - rho_A[m, n] rho_B[p, q]: rho - rho_A x rho_B realigned."""
+    n_a, n_b = reduced_a.shape[-1], reduced_b.shape[-1]
+    block = elements[..., :n_a, :n_b, :n_a, :n_b].swapaxes(-3, -2).copy().reshape(*elements.shape[:-4], n_a**2, n_b**2)
+    block -= reduced_a.reshape(*reduced_a.shape[:-2], -1, 1) * reduced_b.reshape(*reduced_b.shape[:-2], 1, -1)
+    return block
 
 
 @cache
 def _gap_cells(level: int) -> tuple[np.ndarray, ...]:
-    """(m_a, m_b, n_a, n_b) of the cells K[(m_a n_a), (m_b n_b)] (equal levels) of B_0, B_1, ..., B_(level-1),
-    each row-major.  B_-g is B_g on a state symmetric under (m1, m2) <-> (n1, n2), as FockDensity's elements
-    are (from_elements arrays to 1e-12)."""
-    m, n = _gap_order(level)
-    rows, cols = np.nonzero(np.equal.outer(n - m, n - m) & (n >= m)[:, None])  # row-major: K's rows run by gap
-    return m[rows], m[cols], n[rows], n[cols]
+    """The (m_a, m_b, n_a, n_b) of B_g[i, j] = K[(i i+g), (j j+g)] by g < level, i, j; B_-g = B_g as rho is symmetric."""
+    g, i, j = np.array([(g, i, j) for g in range(level) for i in range(level - g) for j in range(level - g)]).T
+    return i, j, i + g, j + g
 
 
 # Batches smaller than this take the closed forms state by state in Python floats, which round as
@@ -305,7 +297,7 @@ def build_witness(
         raise ValueError(f"state is not flagged steerable ({direction}); no witness exists")
     u, singular, vt = np.linalg.svd(corr.entries)
     rotated = replace(corr, tloos_a=rotate_tloos(corr.tloos_a, u.T), tloos_b=rotate_tloos(corr.tloos_b, vt))
-    vars(rotated)["block"] = corr.block  # the rotated sets share K, gathered once
+    vars(rotated)["block"] = corr.block  # the rotated sets share K, built once
     diag = np.diag(rotated.entries)[: min(len(rotated.tloos_a), len(rotated.tloos_b))].copy()
     if abs(diag.sum() - singular.sum()) > 1e-9:
         raise RuntimeError("rotated diagonal correlations do not reproduce the trace norm")

@@ -527,6 +527,19 @@ def test_fock_density_json_threshold():
             assert idx in kept
 
 
+def test_fock_density_json_threshold_zero_lists_exactly_the_nonzero_cells():
+    rho = fock_density(apply_loss(tmsv_covariance(0.5), 0.5, "B"), 3, 3)
+    payload = fock_density_json(rho, 0.0)
+    assert [entry["idx"] for entry in payload["elements"]] == np.argwhere(rho.elements != 0.0).tolist()
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+def test_fock_density_json_refuses_a_nan_or_negative_threshold(threshold):
+    rho = fock_density(apply_loss(tmsv_covariance(0.5), 0.5, "B"), 3, 3)
+    with pytest.raises(ValueError, match="threshold"):
+        fock_density_json(rho, threshold)
+
+
 def _off_sector_elements():
     # Symmetric under (m1, m2) <-> (n1, n2), with non-zero cells off m1 - m2 = n1 - n2 (the first three).
     elements = np.zeros((2, 3, 2, 3))

@@ -87,10 +87,38 @@ def test_correlation_matrix_matches_the_einsum_oracle(channel, params, levels, r
             assert np.array_equal(entries, reference)
 
 
-@pytest.mark.parametrize("levels", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def realignment_reference(rho, n_a, n_b):
+    """K[..., m*n_a + n, p*n_b + q] = elements[..., m, p, n, q] - reduced_a[..., m, n] reduced_b[..., p, q], cell by cell."""
+    block = np.empty(rho.elements.shape[:-4] + (n_a * n_a, n_b * n_b))
+    for m, n, p, q in np.ndindex(n_a, n_a, n_b, n_b):
+        block[..., m * n_a + n, p * n_b + q] = (rho.elements[..., m, p, n, q]
+                                                - rho.reduced_a[..., m, n] * rho.reduced_b[..., p, q])
+    return block
+
+
+@pytest.mark.parametrize("levels", [(2, 2), (3, 3), (2, 3)])
+def test_k_is_the_plain_realignment(levels):
+    rho = fock_density(channel_covariance("loss", np.linspace(0.05, 1.4, 5), np.linspace(0.1, 0.9, 5)), 3, 3)
+    corr = correlation_matrix(rho, *levels)
+    assert np.array_equal(corr.block, realignment_reference(rho, *levels))
+
+
+def test_k_of_a_dense_state_is_the_plain_realignment_and_leaves_the_elements_alone():
+    # The elements are a strided view whose realignment is contiguous: K must still be a new array.
+    rng = np.random.default_rng(11)
+    stored = np.ascontiguousarray(random_real_mixed(rng, 9).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3))
+    rho = FockDensity.from_elements(stored.transpose(0, 2, 1, 3))
+    before = stored.copy()
+    corr = correlation_matrix(rho, 3, 3)
+    assert not rho.sector
+    assert np.array_equal(corr.block, realignment_reference(rho, 3, 3))
+    assert np.array_equal(stored, before)
+
+
+@pytest.mark.parametrize("levels", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4)])
 def test_trace_norm_and_variance_sums_hold_off_the_sector(levels):
-    # A random mixed state fills the elements off the sector m1 - m2 = n1 - n2 too, where the gap
-    # order of the realigned block is no block structure, only a permutation of its rows and columns.
+    # A random mixed state fills the elements off the sector m1 - m2 = n1 - n2 too, so K has no block
+    # structure and every level pair, level 4 included, takes the SVD of the whole of K.
     n_a, n_b = levels
     rng = np.random.default_rng(n_a * 10 + n_b)
     rho = FockDensity.from_elements(random_real_mixed(rng, n_a * n_b).reshape(n_a, n_b, n_a, n_b))
@@ -285,7 +313,9 @@ def test_a_batch_shares_its_bits_with_each_state(monkeypatch):
     rho.reduced_a[7] = rho.reduced_b[7] = 0.0
     calls = svd_calls(monkeypatch)
     for level in (2, 3):
-        batch = correlation_matrix(rho, level, level).trace_norm
+        corr = correlation_matrix(rho, level, level)
+        batch = corr.trace_norm
+        assert "block" not in corr.__dict__  # the SVD realigns state 7 alone and caches no K
         singles = [correlation_matrix(part_of(rho, i), level, level).trace_norm for i in range(len(rs))]
         pairs = np.concatenate([correlation_matrix(part_of(rho, slice(i, i + 2)), level, level).trace_norm
                                 for i in range(0, len(rs), 2)])
