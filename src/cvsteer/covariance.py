@@ -81,8 +81,7 @@ def tmsv_covariance(r) -> TwoModeCovariance:
     excess noise a - 1 = 2 sinh(r)^2; r = 0 is the two-mode vacuum.  A 1-D
     array of r gives a batch.
     """
-    _require(np.greater_equal(r, 0.0) & np.less_equal(r, MAX_SQUEEZING), r,
-             f"squeezing parameter must lie in [0, {MAX_SQUEEZING:g}]")
+    _require((r >= 0.0) & (r <= MAX_SQUEEZING), r, f"squeezing parameter must lie in [0, {MAX_SQUEEZING:g}]")
     ch, sh = _per_element(math.cosh, 2.0 * r), _per_element(math.sinh, 2.0 * r)
     shr = _per_element(math.sinh, r)
     excess = 2.0 * shr * shr
@@ -91,15 +90,20 @@ def tmsv_covariance(r) -> TwoModeCovariance:
 
 def _require(ok, values, message: str) -> None:
     """Raise ValueError(message) naming the first value where ok is False."""
-    if not ok.all():
+    if not _all(ok):
         raise ValueError(f"{message}, got {np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0]}")
+
+
+def _all(ok) -> bool:
+    """ok.all() of an array, the truth of a scalar (bool or numpy bool) without numpy's per-call cost."""
+    return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
 
 
 def _per_element(fn, x):
     # numpy's cosh/sinh may round differently from math's; batches must match single states.
     if np.ndim(x) == 0:
         return fn(x)
-    return np.array([fn(v) for v in x])
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def apply_loss(cov: TwoModeCovariance, eta, mode: str = "B") -> TwoModeCovariance:
@@ -109,7 +113,7 @@ def apply_loss(cov: TwoModeCovariance, eta, mode: str = "B") -> TwoModeCovarianc
     eta times itself) and the coupling picks up a factor sqrt(eta); the
     standard form is preserved.
     """
-    _require(np.greater(eta, 0.0) & np.less_equal(eta, 1.0), eta, "transmittance must lie in (0, 1]")
+    _require((eta > 0.0) & (eta <= 1.0), eta, "transmittance must lie in (0, 1]")
     require_physical(cov)
     s = np.sqrt(eta)
     return _on_mode(cov, mode, lambda c: TwoModeCovariance(
@@ -122,8 +126,7 @@ def apply_gain(cov: TwoModeCovariance, gain, mode: str = "B") -> TwoModeCovarian
     The targeted diagonal maps to G*x + G - 1 (its excess noise x - 1 to
     G*(x - 1) + 2*(G - 1)) and the coupling picks up a factor sqrt(G).
     """
-    _require(np.greater_equal(gain, 1.0) & np.less_equal(gain, MAX_GAIN), gain,
-             f"gain factor must be finite and lie in [1, {MAX_GAIN:g}]")
+    _require((gain >= 1.0) & (gain <= MAX_GAIN), gain, f"gain factor must be finite and lie in [1, {MAX_GAIN:g}]")
     require_physical(cov)
     s = np.sqrt(gain)
     return _on_mode(cov, mode, lambda c: TwoModeCovariance(
@@ -143,7 +146,7 @@ def _on_mode(cov: TwoModeCovariance, mode: str, update) -> TwoModeCovariance:
 def check_physical(cov: TwoModeCovariance) -> bool:
     """True iff the covariance (every one of a batch) is physical: gamma + i*Omega
     has no eigenvalue below -PHYSICALITY_TOL."""
-    return bool((physicality_eigenvalue(cov) >= -PHYSICALITY_TOL).all())
+    return _all(physicality_eigenvalue(cov) >= -PHYSICALITY_TOL)
 
 
 def physicality_eigenvalue(cov: TwoModeCovariance):

@@ -22,7 +22,14 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class TlooSet:
-    """Ordered set of the n^2 truncated local orthogonal observables."""
+    """Ordered set of the n^2 truncated local orthogonal observables.
+
+    Contract: the set is complete, an orthonormal Hermitian basis of the n x n
+    operators, so sum_j A_j^2 = n * 1 and sum_j <A_j>^2 = Tr rho^2 on any
+    truncated state rho: its variance sum is n Tr rho - Tr rho^2 whatever the
+    basis.  build_tloos and rotate_tloos keep it; criterion_rhs, optimal_gain
+    and paired_variance_sum rely on it and do not check it.
+    """
 
     level: int
     matrices: np.ndarray  # shape (level**2, level, level), complex Hermitian

@@ -25,7 +25,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .fock import FockDensity
-from .observables import TlooSet, _variances, build_tloos, rotate_tloos, uncertainty_sum
+from .observables import TlooSet, _variances, build_tloos, rotate_tloos
 from .verdict import A_TO_B, B_TO_A, DIRECTIONS, MARGIN_TOL, SteeringVerdict
 
 
@@ -76,6 +76,14 @@ class CorrelationMatrix:
 
     def variance_sum_b(self):
         return _variance_sum(self.reduced_b)
+
+    @cached_property
+    def paired_variance_b(self):
+        """Sum of Var(B_j) over the first min(n_a^2, n_b^2) B-side observables, those paired with an A_j."""
+        pairs = min(len(self.tloos_a), len(self.tloos_b))
+        if pairs == len(self.tloos_b):
+            return self.variance_sum_b()
+        return _variances(self.reduced_b, self.tloos_b)[..., :pairs].sum(axis=-1)
 
     def trusted_factor_a(self):
         """Tr rho_A - Tr rho_A^2 on the truncated levels."""
@@ -158,7 +166,7 @@ def _svd_trace_norm(block: np.ndarray):
 
 
 def _variance_sum(reduced: np.ndarray):
-    return reduced.shape[-1] * np.trace(reduced, axis1=-2, axis2=-1) - (reduced**2).sum(axis=(-2, -1))
+    return reduced.shape[-1] * reduced.trace(axis1=-2, axis2=-1) - (reduced**2).sum(axis=(-2, -1))
 
 
 def _trusted_factor(reduced: np.ndarray, excited):
@@ -209,7 +217,7 @@ def criterion_rhs(corr: CorrelationMatrix, direction: str = B_TO_A):
         radicand = corr.trusted_factor_b() * corr.variance_sum_a()
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    if np.any(radicand < -1e-12):
+    if (radicand < -1e-12).any():
         raise ValueError(f"negative bound radicand ({np.min(radicand)}); inconsistent local data")
     return np.sqrt(np.maximum(radicand, 0.0))
 
@@ -231,11 +239,10 @@ def tloo_steerable(
 def optimal_gain(corr: CorrelationMatrix) -> float:
     """Linear-estimate gain -(sum of the first min(n_a^2, n_b^2) diagonal covariances) / (sum of those
     min(n_a^2, n_b^2) untrusted-side variances): the vertex of the paired variance sum on corr's own sets."""
-    pairs = min(len(corr.tloos_a), len(corr.tloos_b))
-    denom = _variances(corr.reduced_b, corr.tloos_b)[:pairs].sum()
+    denom = corr.paired_variance_b
     if denom <= 0.0:
         raise ValueError("untrusted-side variance sum is not positive")
-    return float(-np.diag(corr.entries)[:pairs].sum() / denom)
+    return float(-corr.entries.trace() / denom)
 
 
 def paired_variance_sum(
@@ -253,12 +260,12 @@ def paired_variance_sum(
 
 
 def _paired_sum(corr: CorrelationMatrix, gain: float) -> tuple[float, float]:
-    """paired_variance_sum on corr's own sets and reduced states."""
-    pairs = min(len(corr.tloos_a), len(corr.tloos_b))
-    local, bound = uncertainty_sum(corr.reduced_a, corr.tloos_a)
-    var_b = _variances(corr.reduced_b, corr.tloos_b)[:pairs]
-    lhs = local + (gain**2 * var_b + 2.0 * gain * np.diag(corr.entries)[:pairs]).sum()
-    return float(lhs), bound
+    """paired_variance_sum on corr's own sets and reduced states; the A-side sum is over the whole set."""
+    weight = float(corr.reduced_a.trace())
+    if not weight <= 1.0 + 1e-9:  # NaN included
+        raise ValueError(f"state weight must be at most 1, got {weight}")
+    lhs = corr.variance_sum_a() + gain**2 * corr.paired_variance_b + 2.0 * gain * corr.entries.trace()
+    return float(lhs), float((corr.tloos_a.level - 1) * weight)
 
 
 @dataclass(frozen=True)
@@ -279,11 +286,11 @@ def build_witness(
 ) -> Witness:
     """Turn a trace-norm violation into an explicit variance-sum violation.
 
-    Rotates both observable sets by the singular-value factors of the
-    correlation matrix, which makes the rotated correlations diagonal with the
-    singular values on the diagonal, then applies optimal_gain, the vertex of
-    the paired variance sum, and reports that sum, both read from the one
-    rotated matrix.  Raises on states the trace-norm criterion does not flag.
+    Rotates both observable sets by the singular-value factors of C = U S V^T,
+    so the rotated correlations U^T C V are diagonal with the singular values,
+    then applies optimal_gain, the vertex of the paired variance sum, and reports
+    that sum: V_A - ||C||_tr^2 / V_B at equal levels, V_X = n Tr rho_X - Tr rho_X^2
+    by completeness.  Raises on states the trace-norm criterion does not flag.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -297,8 +304,8 @@ def build_witness(
         raise ValueError(f"state is not flagged steerable ({direction}); no witness exists")
     u, singular, vt = np.linalg.svd(corr.entries)
     rotated = replace(corr, tloos_a=rotate_tloos(corr.tloos_a, u.T), tloos_b=rotate_tloos(corr.tloos_b, vt))
-    vars(rotated)["block"] = corr.block  # the rotated sets share K, built once
-    diag = np.diag(rotated.entries)[: min(len(rotated.tloos_a), len(rotated.tloos_b))].copy()
+    vars(rotated)["entries"] = u.T @ corr.entries @ vt.T  # the rotated sets' covariances, from the one SVD
+    diag = rotated.entries.diagonal().copy()
     if abs(diag.sum() - singular.sum()) > 1e-9:
         raise RuntimeError("rotated diagonal correlations do not reproduce the trace norm")
     gain = optimal_gain(rotated)

@@ -270,26 +270,49 @@ def reference_margin(channel: str, r: float, param: float, level: int, direction
     Tr rho_X^2.  The marginals are thermal with mean photon numbers sinh(r)^2 on
     A and eta sinh(r)^2 (loss) or G sinh(r)^2 + G - 1 (gain) on B.
     """
-    block = kraus_tmsv_elements(channel, r, param, level, level)
     with mpmath.workdps(50):
-        nbar_a = mpmath.sinh(r) ** 2
-        nbar_b = param * nbar_a if channel == "loss" else param * nbar_a + (mpmath.mpf(param) - 1)
-        p_a, p_b = ([nbar**k / (1 + nbar) ** (k + 1) for k in range(level)] for nbar in (nbar_a, nbar_b))
-        realigned = mpmath.matrix(level**2, level**2)
-        for m, p, n, q in np.ndindex(block.shape):
-            realigned[m * level + n, p * level + q] = block[m, p, n, q] - (p_a[m] * p_b[p] if (m, p) == (n, q) else 0)
-        try:
-            singular_values = mpmath.svd_r(realigned, compute_uv=False)
-        except RuntimeError:
-            # svd_r's convergence test can fail at one precision and hold at another, as at
-            # r=2.4693126541524966, G=1.0352422396122654, level 3, which converges at 40 and 60 digits.
-            with mpmath.workdps(60):
-                singular_values = mpmath.svd_r(realigned, compute_uv=False)
-        trace_norm = mpmath.fsum(singular_values)
+        trace_norm, p_a, p_b = _reference_trace_norm(channel, r, param, level)
         trusted, untrusted = (p_a, p_b) if direction == B_TO_A else (p_b, p_a)
         trusted_factor = mpmath.fsum(trusted) - mpmath.fsum(p**2 for p in trusted)
-        untrusted_factor = level * mpmath.fsum(untrusted) - mpmath.fsum(p**2 for p in untrusted)
-        return trace_norm - mpmath.sqrt(trusted_factor * untrusted_factor)
+        return trace_norm - mpmath.sqrt(trusted_factor * _reference_variance_sum(untrusted))
+
+
+def reference_witness(channel: str, r: float, param: float, level: int, direction: str):
+    """(gain, variance sum) of the witness at equal levels of the reference_margin state, at 50 digits.
+
+    The rotated sets' diagonal covariances are the singular values of C and the
+    variance sum of a whole set is V_X = n Tr rho_X - Tr rho_X^2, so the vertex
+    gain is -||C||_tr / V_B and the sum there V_A - ||C||_tr^2 / V_B, A trusted.
+    """
+    with mpmath.workdps(50):
+        trace_norm, p_a, p_b = _reference_trace_norm(channel, r, param, level)
+        trusted, untrusted = (p_a, p_b) if direction == B_TO_A else (p_b, p_a)
+        v_trusted, v_untrusted = _reference_variance_sum(trusted), _reference_variance_sum(untrusted)
+        return -trace_norm / v_untrusted, v_trusted - trace_norm**2 / v_untrusted
+
+
+def _reference_variance_sum(populations):
+    """n Tr rho - Tr rho^2 of a diagonal truncated state, in the caller's precision."""
+    return len(populations) * mpmath.fsum(populations) - mpmath.fsum(p**2 for p in populations)
+
+
+def _reference_trace_norm(channel: str, r: float, param: float, level: int):
+    """||C||_tr and the thermal populations p_a, p_b of the truncated marginals, in the caller's precision."""
+    block = kraus_tmsv_elements(channel, r, param, level, level)
+    nbar_a = mpmath.sinh(r) ** 2
+    nbar_b = param * nbar_a if channel == "loss" else param * nbar_a + (mpmath.mpf(param) - 1)
+    p_a, p_b = ([nbar**k / (1 + nbar) ** (k + 1) for k in range(level)] for nbar in (nbar_a, nbar_b))
+    realigned = mpmath.matrix(level**2, level**2)
+    for m, p, n, q in np.ndindex(block.shape):
+        realigned[m * level + n, p * level + q] = block[m, p, n, q] - (p_a[m] * p_b[p] if (m, p) == (n, q) else 0)
+    try:
+        singular_values = mpmath.svd_r(realigned, compute_uv=False)
+    except RuntimeError:
+        # svd_r's convergence test can fail at one precision and hold at another, as at
+        # r=2.4693126541524966, G=1.0352422396122654, level 3, which converges at 40 and 60 digits.
+        with mpmath.workdps(60):
+            singular_values = mpmath.svd_r(realigned, compute_uv=False)
+    return mpmath.fsum(singular_values), p_a, p_b
 
 
 def einsum_correlation_entries(rho: FockDensity, tloos_a: TlooSet, tloos_b: TlooSet) -> np.ndarray:

@@ -12,6 +12,7 @@ from cvsteer import (
     physicality_eigenvalue,
     tmsv_covariance,
 )
+from cvsteer.covariance import PHYSICALITY_TOL
 
 COSH1 = 1.5430806348152437
 SINH1 = 1.1752011936438014
@@ -219,3 +220,50 @@ def test_batched_excess_noise_matches_each_state():
     batch = tmsv_covariance(rs)
     for i, r in enumerate(rs):
         assert (batch.excess_a[i], batch.excess_b[i]) == (tmsv_covariance(r).excess_a, tmsv_covariance(r).excess_b)
+
+
+# One value per input type: a Python float, a numpy scalar, a 0-d array and a batch of one.
+INPUT_TYPES = {"float": float, "np.float64": np.float64, "0-d array": np.array, "1-D array": lambda v: np.array([v])}
+NAN = float("nan")
+
+
+def vacuum_with_excess(excess):
+    """The vacuum with mode A's excess noise set to the value, which is then its physicality eigenvalue."""
+    return TwoModeCovariance(1.0 + excess, 1.0, 0.0, excess_a=excess)
+
+
+def test_the_physicality_bound_case_sits_on_the_tolerance():
+    assert physicality_eigenvalue(vacuum_with_excess(-PHYSICALITY_TOL)) == -PHYSICALITY_TOL
+
+
+@pytest.mark.parametrize(
+    "call, value, accepted, message",
+    [
+        *((tmsv_covariance, r, ok, "squeezing parameter must lie in [0, 5]")
+          for r, ok in ((2.5, True), (0.0, True), (MAX_SQUEEZING, True), (-0.1, False), (5.1, False), (NAN, False))),
+        *((lambda eta: apply_loss(tmsv_covariance(0.4), eta), eta, ok, "transmittance must lie in (0, 1]")
+          for eta, ok in ((0.5, True), (0.0, False), (1.0, True), (-0.1, False), (1.5, False), (NAN, False))),
+        *((lambda g: apply_gain(tmsv_covariance(0.4), g), g, ok, "gain factor must be finite and lie in [1, 10]")
+          for g, ok in ((1.5, True), (1.0, True), (MAX_GAIN, True), (0.9, False), (10.5, False), (NAN, False))),
+        *((lambda x: check_physical(vacuum_with_excess(x)), x, ok, None)
+          for x, ok in ((0.5, True), (0.0, True), (-PHYSICALITY_TOL, True), (-2e-10, False), (NAN, False))),
+    ],
+)
+def test_checks_treat_scalars_and_arrays_alike(call, value, accepted, message):
+    def outcome(as_type):
+        try:
+            result = call(as_type(value))
+        except ValueError as error:
+            return str(error)
+        if isinstance(result, TwoModeCovariance):
+            return [np.ravel(getattr(result, f)).tolist() for f in ("a", "b", "c", "excess_a", "excess_b")]
+        return result
+
+    outcomes = {name: outcome(as_type) for name, as_type in INPUT_TYPES.items()}
+    assert all(o == outcomes["float"] for o in outcomes.values()), outcomes
+    if message is None:  # check_physical answers without raising
+        assert outcomes["float"] is accepted
+    elif accepted:
+        assert not isinstance(outcomes["float"], str)
+    else:
+        assert outcomes["float"] == f"{message}, got {value}"

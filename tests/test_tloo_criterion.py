@@ -10,6 +10,7 @@ from conftest import (
     product_density,
     random_orthogonal,
     random_real_mixed,
+    reference_witness,
     thermal_marginal,
 )
 
@@ -455,26 +456,47 @@ def test_witness_minimises_its_paired_sum_at_unequal_levels():
 
 
 def test_witness_assembles_each_correlation_matrix_once(monkeypatch):
-    # One matrix for the margin, which builds no K; the rotated sets share the K that the first entries
-    # build, and the paired sum reuses them.
-    calls, blocks = [], []
+    # One matrix for the margin, which builds no K; the first entries build K and T K T^T once, the
+    # rotated entries come from their SVD, and every sum over a whole set from the completeness identity:
+    # only the first 4 of the 9 untrusted variances at (2, 3) take _variances.
+    calls, built = [], []
 
     def counted(*args):
         calls.append(args)
         return correlation_matrix(*args)
 
-    def counted_block(corr):
-        blocks.append(corr.tloos_a)
-        return build_block(corr)
+    def counted_variances(*args):
+        built.append("_variances")
+        return variances_of(*args)
 
-    build_block = tloo_criterion.CorrelationMatrix.block.func
-    block = cached_property(counted_block)
-    block.__set_name__(tloo_criterion.CorrelationMatrix, "block")
-    monkeypatch.setattr(tloo_criterion.CorrelationMatrix, "block", block)
+    def count_property(name):
+        build = getattr(tloo_criterion.CorrelationMatrix, name).func
+        prop = cached_property(lambda corr: built.append(name) or build(corr))
+        prop.__set_name__(tloo_criterion.CorrelationMatrix, name)
+        monkeypatch.setattr(tloo_criterion.CorrelationMatrix, name, prop)
+
+    variances_of = tloo_criterion._variances
+    for name in ("block", "entries"):
+        count_property(name)
     monkeypatch.setattr("cvsteer.tloo_criterion.correlation_matrix", counted)
-    build_witness(fock_density(channel_covariance("loss", 0.4, 0.45), 3, 3), 2, 2, B_TO_A)
-    assert len(calls) == 1
-    assert len(blocks) == 1
+    monkeypatch.setattr("cvsteer.tloo_criterion._variances", counted_variances)
+    for levels, eta, variances in (((2, 2), 0.45, 0), ((2, 3), 0.7, 1)):
+        calls.clear()
+        built.clear()
+        build_witness(fock_density(channel_covariance("loss", 0.4, eta), 3, 3), *levels, B_TO_A)
+        assert len(calls) == 1
+        assert sorted(built) == sorted(["block", "entries"] + ["_variances"] * variances), levels
+
+
+@pytest.mark.parametrize("channel, r, param", [("loss", 0.8, 0.7), ("gain", 0.3, 1.02)])
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("direction", [B_TO_A, A_TO_B])
+def test_witness_matches_its_50_digit_reference(channel, r, param, level, direction):
+    # At equal levels the vertex gain is -||C||_tr / V_B and the variance sum there V_A - ||C||_tr^2 / V_B.
+    witness = build_witness(fock_density(channel_covariance(channel, r, param), 3, 3), level, level, direction)
+    gain, variance_sum = reference_witness(channel, r, param, level, direction)
+    assert witness.gain == pytest.approx(float(gain), rel=2e-15, abs=0.0)
+    assert witness.variance_sum == pytest.approx(float(variance_sum), rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -485,7 +507,10 @@ def test_witness_assembles_each_correlation_matrix_once(monkeypatch):
     ],
 )
 def test_witness_pinned_values(param, levels, gain, variance_sum):
-    # Full-precision reference values; rel=1e-15 leaves room for a few ulps of LAPACK variation across machines.
+    # Pinned outputs, each within rel 1e-15 of its 50-digit reference: -0.48527337786707282 and
+    # 0.94675015704184008 at (2, 2) (reference_witness); -0.60474113463325076 and 0.78001439428504615
+    # at (2, 3), where the gain reads the untrusted variances over the first 4 right singular vectors of C.
+    # rel=1e-15 leaves room for a few ulps of the float state and of LAPACK variation across machines.
     witness = build_witness(fock_density(channel_covariance("loss", 0.4, param), 3, 3), *levels, B_TO_A)
     assert witness.gain == pytest.approx(gain, rel=1e-15, abs=0.0)
     assert witness.variance_sum == pytest.approx(variance_sum, rel=1e-15, abs=0.0)
