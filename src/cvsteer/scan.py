@@ -50,30 +50,48 @@ MAX_GRID_POINTS = 250_000
 _SWEEP_BATCH = 16_384
 _SWEEP_FIELDS = ("r", "param", "criterion", "direction", "margin", "steerable")
 
-# Points of the pre-scan find_boundary makes over a channel's parameter bracket.
+# Points of the pre-scan find_boundary makes over a channel's parameter bracket, and the
+# cells of the first bracket of every eps, up to _EPS_BRACKET above the Gaussian boundary.
 _BOUNDARY_GRID = 64
+_EPS_STEPS = 3
+_EPS_BRACKET = 0.07
 
-# Root-search settings for the Gaussian and TLOO margins of find_boundary and the
-# ends and eps curve of squeezing_range.  The relative tolerance is scipy's default.
+# Root-search settings.  find_roots defaults to ROOT_XTOL; the roots boundary and rrange print
+# (9 significant digits) are searched to PARAM_XTOL (squeezing ends and channel parameters, 0.1 to
+# 6 where searched on the pinned cases) and EPS_XTOL (eps, 0.04 to 0.06 at its maximum), relative
+# 1e-11 or tighter.  The relative tolerance is scipy's default.
 ROOT_XTOL = 1e-8
+PARAM_XTOL = 1e-12
+EPS_XTOL = 1e-13
 ROOT_MAXITER = 200
 _ROOT_RTOL = 4 * np.finfo(float).eps
 
 
-def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None) -> np.ndarray:
-    """Sign changes of a batch of margins, one per bracket [lo[i], hi[i]] (1-D).
+def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None, outside=None) -> np.ndarray:
+    """Sign changes of a batch of margins, one per bracket [lo[i], hi[i]] (1-D, lo <= hi).
 
     margins(index, x) returns the margins of the elements `index` (an integer
     array) at parameters x, as one batch; ends = (margins at lo, margins at hi)
-    spares their evaluation when the caller holds them.  Each step evaluates
-    every live bracket once, at Chandrupatla's inverse-quadratic point where
-    his test accepts it and at the midpoint otherwise (T. R. Chandrupatla, Adv.
-    Eng. Softw. 28, 145 (1997)), and keeps a sign change bracketed; a result
-    lies within xtol (a scalar or one per bracket) + 4 eps |x| of one.  An
-    empty bracket (lo == hi) returns hi unevaluated.  Raises ValueError on ends
-    of the same sign or a NaN margin, RuntimeError after ROOT_MAXITER steps.
+    spares their evaluation when the caller holds them, and outside = (x, f),
+    each of shape (2, n), holds the nearest known point below lo and above hi
+    with its margin (NaN where none is known).  Each step evaluates every live
+    bracket at three points in one batch: an inverse-cubic estimate through its
+    ends and the points beside them (inverse-quadratic where the margin is
+    monotone on one side only) and a guard on each side, twice the distance to
+    the lower-order estimate away and at least half a tolerance; the quarter
+    points where the margin is monotone on neither side or the last step did not
+    halve the bracket.  The new bracket is the tightest sign change among the
+    five points, and the points beside it are kept: Chandrupatla's search (Adv.
+    Eng. Softw. 28, 145 (1997)) one order up, with guards.  A result lies within
+    xtol (a scalar or one per bracket) + 4 eps |x| of a sign change; an empty
+    bracket (lo == hi) returns hi unevaluated.  Raises ValueError on an inverted
+    bracket, ends of the same sign or a NaN margin, RuntimeError after
+    ROOT_MAXITER steps.
     """
-    x1, x2, xtol = np.array(np.broadcast_arrays(lo, hi, xtol), dtype=float)
+    x1, x2 = np.array([lo, hi], dtype=float)
+    xtol = xtol + np.zeros_like(x1)
+    if (x1 > x2).any():
+        raise ValueError(f"bracket [{x1[x1 > x2][0]}, {x2[x1 > x2][0]}] is inverted")
     root, todo = x2.copy(), np.flatnonzero(x1 != x2)
 
     def checked(fx, x):
@@ -84,41 +102,65 @@ def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None) -> np.ndarray:
 
     x = np.concatenate([x1[todo], x2[todo]])
     if ends is None:
-        fx = margins(np.tile(todo, 2), x) if todo.size else ()
+        fx = margins(np.concatenate([todo, todo]), x) if todo.size else x
     else:
-        fx = np.concatenate([np.broadcast_to(end, x1.shape)[todo] for end in ends])
-    f1, f2 = np.split(checked(fx, x), 2)
+        fx = np.array(ends, dtype=float)[:, todo].ravel()
+    f1, f2 = checked(fx, x).reshape(2, -1)
     same = todo[f1 * f2 > 0]
     if same.size:
         raise ValueError(f"margin has the same sign at both ends of [{x1[same[0]]}, {x2[same[0]]}]")
     root[todo[f1 == 0]] = x1[todo[f1 == 0]]
     live = (f1 != 0) & (f2 != 0)
-    todo, x1, f1, x2, f2, xtol = todo[live], x1[todo[live]], f1[live], x2[todo[live]], f2[live], xtol[todo[live]]
-    t = 0.5
-    for _ in range(ROOT_MAXITER):
-        if not todo.size:
-            return root
-        # x1 is the newest point and [x1, x2] the bracket; x3 is the end it dropped.
-        x = x1 + t * (x2 - x1)
-        fx = checked(margins(todo, x), x)
-        kept = np.sign(fx) == np.sign(f1)
-        x3, f3 = np.where(kept, x1, x2), np.where(kept, f1, f2)
-        x2, f2 = np.where(kept, x2, x1), np.where(kept, f2, f1)
-        x1, f1 = x, fx
-        best, dx = np.where(np.abs(f1) < np.abs(f2), x1, x2), np.abs(x2 - x1)
-        tol = xtol + _ROOT_RTOL * np.abs(best)
-        done = (fx == 0) | (dx < tol)
-        root[todo[done]] = best[done]
-        todo, x1, f1, x2, f2, x3, f3, dx, tol, xtol = (a[~done] for a in (todo, x1, f1, x2, f2, x3, f3, dx, tol, xtol))
-        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-        iqi = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
-        a, b, c, alpha = f1[iqi], f2[iqi], f3[iqi], ((x3 - x1) / (x2 - x1))[iqi]
-        t = np.full(todo.size, 0.5)
-        t[iqi] = a / (a - b) * c / (c - b) - alpha * a / (c - a) * b / (b - c)
-        t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)  # a tolerance away from the bracket ends
-    if todo.size:
-        raise RuntimeError(f"root search did not converge in {ROOT_MAXITER} steps, value is {x1[0]}")
-    return root
+    todo = todo[live]
+    near = np.full((2, 2, todo.size), np.nan) if outside is None else np.array(outside, dtype=float)[:, :, todo]
+    # Rows c < a < b < d of each live bracket [a, b]: the point below, the ends, the point above.
+    x = np.array([near[0, 0], x1[todo], x2[todo], near[0, 1]])
+    f = np.array([near[1, 0], f1[live], f2[live], near[1, 1]])
+    xtol, fast, cols, rows = xtol[todo], np.ones(todo.size, bool), np.arange(todo.size), np.arange(4)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a missing point makes its estimates NaN, never picked
+        for step in range(ROOT_MAXITER + 1):
+            a, b = x[1], x[2]
+            tol = xtol + _ROOT_RTOL * np.fmin(np.abs(a), np.abs(b))
+            done = (b - a < tol) | (f[1] == 0) | (f[2] == 0)
+            if done.any():
+                root[todo[done]] = np.where(np.abs(f[1]) < np.abs(f[2]), a, b)[done]
+                keep = ~done
+                todo, x, f, xtol, tol, fast = todo[keep], x[:, keep], f[:, keep], xtol[keep], tol[keep], fast[keep]
+                a, b, cols = x[1], x[2], cols[: todo.size]
+            if not todo.size:
+                return root
+            if step == ROOT_MAXITER:
+                raise RuntimeError(f"root search did not converge in {ROOT_MAXITER} steps, value is {a[0]}")
+            # Neville's scheme for x as a polynomial in f, at f = 0: secants of neighbouring rows,
+            # the quadratics through (c, a, b) and (a, b, d), then the cubic.
+            rise = f[1:] - f[:-1]
+            secant = (x[:-1] * f[1:] - x[1:] * f[:-1]) / rise
+            quad = (secant[:-1] * f[2:] - secant[1:] * f[:-2]) / (f[2:] - f[:-2])
+            cubic = (quad[0] * f[3] - quad[1] * f[0]) / (f[3] - f[0])
+            # Each estimate, then half its error: the midpoint, a quadratic with its distance to the
+            # secant, the cubic with its distance to the nearer quadratic.  A quadratic needs f monotone
+            # through its outside point, the cubic through both; the midpoint serves where neither is,
+            # or where the last step did not halve the bracket.
+            half = 0.5 * (b - a)
+            shift = np.abs(np.concatenate([quad - secant[1], quad - cubic]))
+            table = np.array([a + half, quad[0], quad[1], cubic, half, shift[0], shift[1], np.fmin(shift[2], shift[3])])
+            monotone = rise[::2] * rise[1] > 0
+            pick = ((monotone[0] + 2 * monotone[1]) * fast) * todo.size + cols
+            est, err = table.take(pick), table.take(pick + 4 * todo.size)
+            # The estimate at least half a tolerance inside the bracket, and a guard on each side twice its
+            # error away, or halfway to the bracket end if that is nearer (the midpoint's fall on the quarter points).
+            lim = 0.5 * tol
+            est = np.fmin(np.fmax(est, a + lim), b - lim)
+            err = np.fmax(2 * err, lim)
+            new = np.concatenate([np.fmax(est - err, 0.5 * (a + est)), est, np.fmin(est + err, 0.5 * (est + b))])
+            fx = checked(margins(np.concatenate([todo, todo, todo]), new), new)
+            x = np.concatenate([x[:2], new.reshape(3, -1), x[2:]])
+            f = np.concatenate([f[:2], fx.reshape(3, -1), f[2:]])
+            sign = np.sign(f[1:6])
+            width = np.where(sign[1:] != sign[:-1], x[2:6] - x[1:5], np.inf)
+            pick = (width.argmin(axis=0) + rows) * todo.size + cols  # the tightest sign change and the points beside it
+            x, f = x.take(pick), f.take(pick)
+            fast = x[2] - x[1] <= half
 
 
 def _channel(name: str) -> Channel:
@@ -267,14 +309,14 @@ def find_boundary(channel: str, r: float, criterion: str, direction: str) -> flo
     A coarse grid over the channel's parameter bracket is evaluated first, as one
     batch.  Returns None when the margin has the same sign at every grid point
     (no boundary) and raises ValueError naming each sign change when there is
-    more than one; a single one is searched for over the whole bracket, from
-    the margins the grid holds at its ends.
+    more than one; a single one is searched for to PARAM_XTOL inside the grid
+    cell where the sign flips, from the margins the grid holds at the cell's
+    ends and at the grid points beside it.
     """
     if r <= 0.0:
         raise ValueError(f"squeezing parameter must be > 0, got {r}")
     spec = _channel(channel)
-    lo, hi = spec.bracket
-    grid = np.linspace(lo, hi, _BOUNDARY_GRID)
+    grid = np.linspace(*spec.bracket, _BOUNDARY_GRID)
 
     def margins(index, param):
         return batch_margins(channel, np.full(index.size, r), param, ((criterion, direction),))[0]
@@ -287,7 +329,9 @@ def find_boundary(channel: str, r: float, criterion: str, direction: str) -> flo
         raise ValueError(f"{criterion} margin changes sign {flips.size} times at r={r:.9g}: between {cells}")
     if not flips.size:
         return None
-    return float(find_roots(margins, [lo], [hi], ends=(values[0], values[-1]))[0])  # linspace ends are lo and hi
+    # The flipping cell [grid[i], grid[i + 1]] and the grid point on each side of it, NaN past the grid's ends.
+    x, f = (np.concatenate([[np.nan], v, [np.nan]])[flips[0] : flips[0] + 4, None] for v in (grid, values))
+    return float(find_roots(margins, x[1], x[2], PARAM_XTOL, ends=f[1:3], outside=(x[[0, 3]], f[[0, 3]]))[0])
 
 
 @dataclass(frozen=True)
@@ -300,7 +344,9 @@ class SqueezingRange:
     in the blind region exists iff the margin at 1/2 is positive (the margin is
     single-crossing in the transmittance).  Under gain, eps_curve records the
     measured excess gain (r, detected gain minus Gaussian boundary) at every
-    detected squeezing.
+    detected squeezing.  r_low, r_high and each eps are searched to the digits
+    the CLI prints (PARAM_XTOL, EPS_XTOL), or are scan points where detection
+    reaches the scan's ends.
     """
 
     channel: str
@@ -332,9 +378,11 @@ def squeezing_range(
 
     Scans the points k * r_step <= r_max, k >= 1 (1 to MAX_GRID_POINTS of
     them; a point within rounding of r_max counts); only the TLOO criteria are
-    meaningful here.  One find_roots search refines both ends of detection and
-    every eps point, from the margins of the scan and, under gain, of one batch
-    0.5 above the Gaussian boundary, which brackets every eps (all below 0.06).
+    meaningful here.  One find_roots search refines both ends of detection (to
+    PARAM_XTOL) and every eps point (to EPS_XTOL) from points the scan's one
+    batch holds: under gain it also evaluates each scan point at _EPS_STEPS
+    offsets up to _EPS_BRACKET above the Gaussian boundary, which brackets every
+    eps (all below 0.06); a point still positive there gets one batch 0.5 above.
     Raises if the detected points are not one run, naming the first gap, or
     if a margin 0.5 above the boundary is positive.
     """
@@ -356,7 +404,13 @@ def squeezing_range(
     pair = ((criterion, direction),)
     rs = np.minimum(r_step * np.arange(1, steps + 1), r_max)  # the point counted within rounding stays at r_max
     params = edge(rs)
-    scanned = batch_margins(channel, rs, params, pair)[0]
+    if spec.eps_curve:  # the scan's one batch also holds each point at _EPS_STEPS offsets above the boundary
+        offsets = _EPS_BRACKET / _EPS_STEPS * np.arange(_EPS_STEPS + 1)
+        grid = params + offsets[:, None]
+        values = batch_margins(channel, np.tile(rs, _EPS_STEPS + 1), grid.ravel(), pair)[0].reshape(grid.shape)
+        scanned = values[0]
+    else:
+        scanned = batch_margins(channel, rs, params, pair)[0]
     detected = scanned > MARGIN_TOL
     if not detected.any():
         return SqueezingRange(channel, criterion, direction, False)
@@ -377,21 +431,32 @@ def squeezing_range(
             param[end] = edge(x[end])
         return batch_margins(channel, r, param, pair)[0] - np.where(end, MARGIN_TOL, 0.0)
 
-    # Each detection end lies between two scan points, whose margins the scan holds; an empty bracket keeps the scan point.
+    # Each detection end lies between two scan points, whose margins the scan holds, as it does those of the
+    # points beside them (NaN past the scan's ends); an empty bracket keeps the scan point.
     first, last = hits[[0, -1]]
     below, above = [max(first - 1, 0), last], [first, min(last + 1, steps - 1)]
-    lo, hi, f_lo, f_hi = rs[below], rs[above], scanned[below] - MARGIN_TOL, scanned[above] - MARGIN_TOL
-    xtol = [1e-6, 1e-6]
+    rows = np.array([below, np.add(below, 1), np.add(above, 1), np.add(above, 2)])
+    x, f = (np.concatenate([[np.nan], v, [np.nan]])[rows] for v in (rs, scanned - MARGIN_TOL))
+    xtol = [PARAM_XTOL] * 2
     if spec.eps_curve:
+        # Each eps lies in the first cell of G*, G* + _EPS_BRACKET k / _EPS_STEPS (k = 1 to _EPS_STEPS) and
+        # G* + 0.5 where the margin is not positive; the last point is evaluated only where it is needed.
         boundary = params[detected]
-        f_top = margins(np.arange(2, r_hit.size + 2), boundary + 0.5)
-        if (f_top > 0.0).any():
-            r = r_hit[np.argmax(f_top > 0.0)]
-            raise ValueError(f"{criterion} margin is positive 0.5 above the Gaussian boundary at r={r:.9g}")
-        lo, hi = np.concatenate([lo, boundary]), np.concatenate([hi, boundary + 0.5])
-        f_lo, f_hi = np.concatenate([f_lo, scanned[detected]]), np.concatenate([f_hi, f_top])
-        xtol += [ROOT_XTOL] * r_hit.size
-    roots = find_roots(margins, lo, hi, xtol, ends=(f_lo, f_hi))
+        grid_x, grid_f = (np.full((_EPS_STEPS + 4, r_hit.size), np.nan) for _ in range(2))
+        grid_x[1:-1] = np.concatenate([grid[:, detected], [boundary + 0.5]])
+        grid_f[1:-2] = values[:, detected]
+        open_ = np.flatnonzero(grid_f[-3] > 0.0)
+        if open_.size:
+            grid_f[-2, open_] = margins(open_ + 2, grid_x[-2, open_])
+            if (grid_f[-2] > 0.0).any():
+                r = r_hit[np.argmax(grid_f[-2] > 0.0)]
+                raise ValueError(f"{criterion} margin is positive 0.5 above the Gaussian boundary at r={r:.9g}")
+        cell = np.argmax(grid_f[2:-1] <= 0.0, axis=0)
+        rows = cell + np.arange(4)[:, None]
+        x = np.concatenate([x, grid_x[rows, np.arange(r_hit.size)]], axis=1)
+        f = np.concatenate([f, grid_f[rows, np.arange(r_hit.size)]], axis=1)
+        xtol += [EPS_XTOL] * r_hit.size
+    roots = find_roots(margins, x[1], x[2], xtol, ends=f[1:3], outside=(x[[0, 3]], f[[0, 3]]))
     r_low, r_high = roots[:2].tolist()
     eps_curve = tuple(zip(r_hit.tolist(), (roots[2:] - boundary).tolist())) if spec.eps_curve else None
 

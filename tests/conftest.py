@@ -335,11 +335,11 @@ def reference_squeezing_range(channel: str, criterion: str, direction: str, r_st
     """squeezing_range by separate root searches, each evaluating its own bracket ends.
 
     The oracle for the single search of scan.squeezing_range, which starts from the
-    margins its scan and its one batch at 0.5 above the Gaussian boundary already
-    hold: the ends where detection flips are searched first, then each detected r
-    is walked up in 0.5 steps until the margin is non-positive, then the eps points
-    are searched, all through the public find_roots.  Margins are batch-invariant,
-    so the two agree bit for bit.  Takes a scan with a detection.
+    points its scan's batch already holds: the ends where detection flips are
+    searched first, to PARAM_XTOL, then each eps point to EPS_XTOL, bracketed by
+    G* + 0.07 or, where the margin is still positive there, by G* + 0.5, all
+    through the public find_roots.  The two converge to the same sign changes,
+    each within its tolerance.  Takes a scan with a detection.
     """
     spec, pair = scan.CHANNELS[channel], ((criterion, direction),)
     edge = spec.blind_edge[direction]
@@ -353,7 +353,7 @@ def reference_squeezing_range(channel: str, criterion: str, direction: str, r_st
         return scan.batch_margins(channel, r, edge(r), pair)[0] - MARGIN_TOL
 
     lo, hi = rs[[max(first - 1, 0), last]], rs[[first, min(last + 1, steps - 1)]]
-    r_low, r_high = scan.find_roots(blind, lo, hi, xtol=1e-6).tolist()
+    r_low, r_high = scan.find_roots(blind, lo, hi, xtol=scan.PARAM_XTOL).tolist()
     eps_curve = None
     if spec.eps_curve:
         r_hit, boundary = rs[detected], params[detected]
@@ -361,10 +361,9 @@ def reference_squeezing_range(channel: str, criterion: str, direction: str, r_st
         def margins(i, param):
             return scan.batch_margins(channel, r_hit[i], param, pair)[0]
 
-        top, hi, walking = spec.bracket[1], boundary + 0.5, np.arange(r_hit.size)
-        while walking.size:
-            walking = walking[margins(walking, hi[walking]) > 0.0]
-            assert (hi[walking] < top).all(), "margin stays positive across the bracket"
-            hi[walking] = np.minimum(hi[walking] + 0.5, top)
-        eps_curve = tuple(zip(r_hit.tolist(), (scan.find_roots(margins, boundary, hi) - boundary).tolist()))
+        hi = boundary + 0.07
+        hi = np.where(margins(np.arange(r_hit.size), hi) > 0.0, boundary + 0.5, hi)
+        assert (margins(np.arange(r_hit.size), hi) <= 0.0).all(), "margin is positive 0.5 above the boundary"
+        eps = scan.find_roots(margins, boundary, hi, xtol=scan.EPS_XTOL) - boundary
+        eps_curve = tuple(zip(r_hit.tolist(), eps.tolist()))
     return SqueezingRange(channel, criterion, direction, True, r_low, r_high, eps_curve)

@@ -5,13 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import lossy_tmsv_element
+from conftest import lossy_tmsv_element, reference_margin
 from cvsteer import (
     A_TO_B,
     B_TO_A,
+    MARGIN_TOL,
     build_witness,
     channel_covariance,
     evaluate_point,
@@ -334,30 +336,32 @@ def test_gaussian_boundary_near_the_vacuum(capsys, channel, r, direction, expect
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (("--channel", "loss", "--level", "2"), "r_low=0.001\nr_high=0.868989601\n"),
-        (("--channel", "loss", "--level", "3"), "r_low=0.36376166\nr_high=0.986912653\n"),
-        (("--channel", "gain", "--level", "2", "--direction", "a-to-b"),
-         "r_low=0.001\nr_high=0.648382223\neps_max=0.0509705374\neps_argmax=0.41\n"),
-        (("--channel", "gain", "--level", "3", "--direction", "a-to-b"),
-         "r_low=0.259989715\nr_high=0.745720455\neps_max=0.0382427223\neps_argmax=0.526\n"),
-    ],
-)
+# The default scan (--r-step 1e-3, --r-max 1.4), as printed once every root was searched to the
+# digits it prints; test_printed_roots_match_their_50_digit_references checks each line.
+DEFAULT_STEP_RRANGE = [
+    (("--channel", "loss", "--level", "2"), "r_low=0.001\nr_high=0.868989601\n"),
+    (("--channel", "loss", "--level", "3"), "r_low=0.363761659\nr_high=0.986912653\n"),
+    (("--channel", "gain", "--level", "2", "--direction", "a-to-b"),
+     "r_low=0.001\nr_high=0.648382223\neps_max=0.0509705373\neps_argmax=0.41\n"),
+    (("--channel", "gain", "--level", "3", "--direction", "a-to-b"),
+     "r_low=0.259989715\nr_high=0.745720455\neps_max=0.0382427223\neps_argmax=0.526\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", DEFAULT_STEP_RRANGE)
 def test_default_step_rrange_is_pinned(capsys, argv, expected):
-    # The default scan (--r-step 1e-3, --r-max 1.4), as printed at commit 8a6b9cc.
     assert run_cli("rrange", *argv) == 0
     assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize(
     "level, digest",
-    [("2", "7badcde2e7e0cfeca03542c8089d51c35af47500102db401f139ad58c3fb7072"),
-     ("3", "e502f1ef6ff682d9334e9ef69e8cde1aa9ace402403d7a7f41b770165c00f330")],
+    [("2", "7941c4770d37e1f42d427995def6151783fa341348c2e26bcff8228e645692e2"),
+     ("3", "ac2794c0028ba8a947d25f989d6fce161d654a4c3bbd6498d4493961989f2ba4")],
 )
 def test_default_step_rrange_eps_curve_is_pinned(capsys, level, digest):
-    # The summary lines and the default-step eps-curve CSV on stdout, as written at commit 8a6b9cc.
+    # The summary lines and the default-step eps-curve CSV on stdout, as written once every eps was
+    # searched to EPS_XTOL.
     assert run_cli("rrange", "--channel", "gain", "--level", level, "--direction", "a-to-b", "--out", "-") == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -366,7 +370,7 @@ def test_rrange_stops_at_r_max(capsys):
     # 5 / 0.3 rounds to 17 points, the last at r = 5.1, outside the squeezing domain.
     code = run_cli("rrange", "--channel", "loss", "--level", "2", "--r-step", "0.3", "--r-max", "5")
     assert code == 0
-    assert capsys.readouterr().out == "r_low=0.3\nr_high=0.868989642\n"
+    assert capsys.readouterr().out == "r_low=0.3\nr_high=0.868989601\n"
 
 
 def golden(name: str, code: int = 0):
@@ -378,44 +382,39 @@ def golden(name: str, code: int = 0):
     sector sum replaced the derivative recurrence of the Taylor table, and
     monogamy_json and sweep_gain_3x3_json again when the trace norm was taken on
     the realigned Fock block, and sweep_gain_3x3_json again when closed forms on
-    its gap blocks replaced that SVD, each value checked against its 50-digit
-    reference."""
+    its gap blocks replaced that SVD, and rrange_gain_eps_csv again when every
+    root was searched to the digits it prints, each value checked against its
+    50-digit reference."""
     return code, (DATA / "cli" / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# rrange at r step 0.02 up to 1.2 and boundary at two points, as the goldens below print them.
+STEP_002_RRANGE = [
+    (("--channel", "loss", "--level", "3", "--direction", "b-to-a", "--r-step", "0.02", "--r-max", "1.2"),
+     "r_low=0.363761659\nr_high=0.986912653\n"),
+    (("--channel", "gain", "--level", "2", "--direction", "a-to-b", "--r-step", "0.02", "--r-max", "1.2"),
+     "r_low=0.02\nr_high=0.648382223\neps_max=0.0508789039\neps_argmax=0.4\n"),
+]
+BOUNDARY_GOLDENS = [
+    (("--channel", "loss", "--r", "0.4", "--criterion", "tloo", "--level", "2", "--direction", "b-to-a"),
+     "eta=0.399438238\n"),
+    (("--channel", "gain", "--r", "0.5", "--criterion", "gaussian", "--direction", "a-to-b"), "gain=1.21355227\n"),
+]
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        pytest.param(
-            ("rrange", "--channel", "loss", "--level", "3", "--direction", "b-to-a",
-             "--r-step", "0.02", "--r-max", "1.2"),
-            "r_low=0.36376166\nr_high=0.986912653\n",
-            id="rrange-loss-n3-b-to-a",
-        ),
-        pytest.param(
-            ("rrange", "--channel", "gain", "--level", "2", "--direction", "a-to-b",
-             "--r-step", "0.02", "--r-max", "1.2"),
-            "r_low=0.02\nr_high=0.648382223\neps_max=0.050878904\neps_argmax=0.4\n",
-            id="rrange-gain-n2-a-to-b",
-        ),
+        pytest.param(("rrange", *STEP_002_RRANGE[0][0]), STEP_002_RRANGE[0][1], id="rrange-loss-n3-b-to-a"),
+        pytest.param(("rrange", *STEP_002_RRANGE[1][0]), STEP_002_RRANGE[1][1], id="rrange-gain-n2-a-to-b"),
         pytest.param(
             ("rrange", "--channel", "gain", "--level", "2", "--direction", "a-to-b",
              "--r-step", "0.02", "--r-max", "1.2", "--out", "-"),
             golden("rrange_gain_eps_csv"),
             id="rrange-gain-eps-csv",
         ),
-        pytest.param(
-            ("boundary", "--channel", "loss", "--r", "0.4", "--criterion", "tloo", "--level", "2",
-             "--direction", "b-to-a"),
-            (0, "eta=0.399438238\n"),
-            id="boundary-loss-tloo-n2",
-        ),
-        pytest.param(
-            ("boundary", "--channel", "gain", "--r", "0.5", "--criterion", "gaussian",
-             "--direction", "a-to-b"),
-            (0, "gain=1.21355227\n"),
-            id="boundary-gain-gaussian-a-to-b",
-        ),
+        pytest.param(("boundary", *BOUNDARY_GOLDENS[0][0]), (0, BOUNDARY_GOLDENS[0][1]), id="boundary-loss-tloo-n2"),
+        pytest.param(("boundary", *BOUNDARY_GOLDENS[1][0]), (0, BOUNDARY_GOLDENS[1][1]), id="boundary-gain-gaussian-a-to-b"),
         pytest.param(
             ("boundary", "--channel", "gain", "--r", "0.5", "--criterion", "gaussian",
              "--direction", "b-to-a"),
@@ -459,6 +458,55 @@ def test_rrange_output_unchanged(capsys, argv, expected):
     code, out = (0, expected) if isinstance(expected, str) else expected
     assert run_cli(*argv) == code
     assert capsys.readouterr().out == out
+
+
+def reference_root(function, guess: float):
+    """The 50-digit root of function (of an mpmath number) next to guess."""
+    with mpmath.workdps(50):
+        return mpmath.findroot(function, (mpmath.mpf(guess) - 1e-9, mpmath.mpf(guess) + 1e-9), solver="secant")
+
+
+def reference_gain_boundary(r):
+    """G*(r) = 1 + tanh(r)^2 at 50 digits."""
+    with mpmath.workdps(50):
+        return 1 + mpmath.tanh(r) ** 2
+
+
+@pytest.mark.parametrize("argv, expected", DEFAULT_STEP_RRANGE + STEP_002_RRANGE)
+def test_printed_roots_match_their_50_digit_references(argv, expected):
+    # Each printed end is the 50-digit crossing of MARGIN_TOL on the blind edge, to the 9 digits
+    # printed, or a scan end whose 50-digit margin is past it; eps_max is the 50-digit eps at
+    # eps_argmax, a scan point whose neighbours reach less far.
+    options = dict(zip(argv[::2], argv[1::2]))
+    channel, level, direction = options["--channel"], int(options["--level"]), options.get("--direction", "b-to-a")
+    r_step, r_max = float(options.get("--r-step", 1e-3)), float(options.get("--r-max", 1.4))
+    printed = dict(line.split("=") for line in expected.splitlines())
+
+    def blind(r):
+        edge = 0.5 if channel == "loss" else reference_gain_boundary(r)
+        return reference_margin(channel, r, edge, level, direction) - MARGIN_TOL
+
+    for end, scan_end in (("r_low", r_step), ("r_high", r_max)):
+        if printed[end] == f"{scan_end:.9g}":
+            assert blind(scan_end) > 0
+        else:
+            assert f"{float(reference_root(blind, float(printed[end]))):.9g}" == printed[end]
+    if "eps_max" in printed:
+        k = round(float(printed["eps_argmax"]) / r_step)
+        eps = []
+        for r in (j * r_step for j in (k - 1, k, k + 1)):
+            edge = reference_gain_boundary(r)
+            root = reference_root(lambda g: reference_margin("gain", r, g, level, A_TO_B), edge + float(printed["eps_max"]))
+            eps.append(root - edge)
+        assert f"{k * r_step:.9g}" == printed["eps_argmax"] and eps[1] > max(eps[0], eps[2])
+        assert f"{float(eps[1]):.9g}" == printed["eps_max"]
+
+
+def test_printed_boundaries_match_their_50_digit_references():
+    (_, loss), (_, gain) = BOUNDARY_GOLDENS
+    eta = reference_root(lambda eta: reference_margin("loss", 0.4, eta, 2, B_TO_A), float(loss.split("=")[1]))
+    assert f"eta={float(eta):.9g}\n" == loss
+    assert f"gain={float(reference_gain_boundary(0.5)):.9g}\n" == gain
 
 
 def test_monogamy_text(capsys):

@@ -299,3 +299,46 @@ def test_find_roots_agrees_with_scipy(xtol):
     found = find_roots(lambda i, x: cubic(x, roots[i], scale[i]), lo, hi, xtol=xtol)
     # Both lie within xtol + 4 eps |root| of the root.
     assert (np.abs(found - theirs.x) <= 2 * (xtol + 4 * np.finfo(float).eps * np.abs(roots))).all()
+
+
+@pytest.mark.parametrize("placement", ["far", "beyond a second root"])
+@pytest.mark.parametrize("xtol", [1e-8, 1e-13])
+def test_find_roots_from_poorly_placed_outside_points(placement, xtol):
+    # Known points far outside each bracket, or beyond a second root of the margin on each side,
+    # leave every search bracketing the root inside its bracket: each step's points lie inside the
+    # tightest sign change known so far, and each result within its tolerance of the root.
+    roots, scale, lo, hi = seeded_cubics()
+    gap = np.random.default_rng(9).uniform(0.5, 40.0, (2, roots.size))
+    below, above = lo - gap[0], hi + gap[1]
+    if placement == "far":
+        def margin(x, k):
+            return cubic(x, roots[k], scale[k])
+    else:  # second roots halfway between each bracket end and its outside point
+        def margin(x, k):
+            return cubic(x, roots[k], scale[k]) * (x - (lo[k] + below[k]) / 2) * ((hi[k] + above[k]) / 2 - x)
+    everything = np.arange(roots.size)
+    left, right = lo.copy(), hi.copy()  # the tightest known sign change around each root
+    rising = margin(hi, everything) > 0
+
+    def margins(index, x):
+        f = margin(x, index)
+        assert ((left[index] < x) & (x < right[index])).all()
+        on_left = (f > 0) != rising[index]
+        np.maximum.at(left, index[on_left], x[on_left])
+        np.minimum.at(right, index[~on_left], x[~on_left])
+        return f
+
+    outside = (np.array([below, above]), np.array([margin(below, everything), margin(above, everything)]))
+    found = find_roots(margins, lo, hi, xtol=xtol, ends=(margin(lo, everything), margin(hi, everything)), outside=outside)
+    assert (np.abs(found - roots) <= xtol + 4 * np.finfo(float).eps * np.abs(roots)).all()
+
+
+def test_find_roots_with_outside_points_keeps_its_refusals():
+    outside = (np.array([[-1.0], [2.0]]), np.array([[np.nan], [3.0]]))  # a NaN outside margin is an unknown point
+    with pytest.raises(ValueError, match="same sign"):
+        find_roots(lambda i, x: x, np.array([0.5]), np.array([1.0]), outside=outside)
+    with pytest.raises(ValueError, match="NaN"):
+        find_roots(lambda i, x: np.where(x > 0.3, np.nan, x - 0.2), np.array([0.0]), np.array([1.0]), outside=outside)
+    with pytest.raises(ValueError, match="inverted"):
+        find_roots(lambda i, x: x, np.array([1.0]), np.array([0.0]), outside=outside)
+    assert find_roots(lambda i, x: x - 0.2, np.array([0.0]), np.array([1.0]), 1e-12, outside=outside)[0] == pytest.approx(0.2, abs=1e-12)

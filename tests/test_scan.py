@@ -344,42 +344,44 @@ def test_boundary_tloo_below_half():
 
 
 # (r, loss tloo-n2 B->A, gain gaussian A->B) boundaries as find_boundary returns them.
-# Each lies within 2e-10 of the 50-digit root of its margin, except the gain one at
-# r = 1.0, 1.0e-9 away; near the vacuum the gain boundary 1 + tanh(r)^2 rounds to 1.
+# Each lies within PARAM_XTOL of the 50-digit root of its margin, except the loss ones at
+# r = 1e-9 (8.4e-11 off) and r = 5.0 (1.6e-12 off), where the double margin's own rounding
+# moves its sign change; near the vacuum the gain boundary 1 + tanh(r)^2 rounds to 1.
 PINNED_FIND_BOUNDARY = [
-    (1e-09, 0.4999999992094307, 1.0),
-    (0.05, 0.46915986314944813, 1.0024958392228933),
-    (0.3, 0.4011129079837864, 1.0848630381741777),
-    (1.0, 0.5377304299320503, 1.5800256573626439),
-    (2.5, 0.687678586824217, 1.9734077733350484),
-    (5.0, 0.6956659169778769, 1.9998184167768647),
+    (1e-09, 0.49999999920943056, 1.0),
+    (0.05, 0.46915986314403824, 1.002495839228432),
+    (0.3, 0.4011129079834041, 1.084863038173369),
+    (1.0, 0.5377304299676742, 1.580025658385975),
+    (2.5, 0.6876785866350622, 1.973407773316819),
+    (5.0, 0.6956659169765991, 1.999818416768495),
 ]
+MARGIN_ROUNDING_STEP = {1e-09: 1e-10, 5.0: 2e-12}
 
 
 @pytest.mark.parametrize("r, loss, gain", PINNED_FIND_BOUNDARY, ids=[f"r={r}" for r, _, _ in PINNED_FIND_BOUNDARY])
 def test_find_boundary_is_pinned(r, loss, gain):
     assert repr(find_boundary("loss", r, "tloo-n2", B_TO_A)) == repr(loss)
     assert repr(find_boundary("gain", r, "gaussian", A_TO_B)) == repr(gain)
-    # The 50-digit margin changes sign within ROOT_XTOL of the pinned loss boundary, and the
-    # pinned gain boundary lies within it of the closed form.
-    step = scan.ROOT_XTOL
+    # The 50-digit margin changes sign within PARAM_XTOL of the pinned loss boundary (or the
+    # margin's rounding, where larger), and the pinned gain boundary lies within it of the closed form.
+    step = MARGIN_ROUNDING_STEP.get(r, scan.PARAM_XTOL)
     assert reference_margin("loss", r, loss - step, 2, B_TO_A) < 0 < reference_margin("loss", r, loss + step, 2, B_TO_A)
-    assert abs(gain - (1 + mpmath.tanh(r) ** 2)) <= step
+    assert abs(gain - (1 + mpmath.tanh(r) ** 2)) <= scan.PARAM_XTOL
 
 
 @pytest.mark.parametrize(
     "channel, criterion, direction, r, expected, batches",
     [
-        ("loss", "tloo-n3", B_TO_A, 0.8, 0.4685611961116617, 7),
-        ("gain", "tloo-n2", A_TO_B, 0.4, 1.195240117841744, 10),
-        ("loss", "gaussian", B_TO_A, 0.3, 0.5000000000000001, 4),
-        ("gain", "gaussian", A_TO_B, 1e-4, 1.0000000108333322, 7),
+        ("loss", "tloo-n3", B_TO_A, 0.8, 0.4685611961103578, 3),
+        ("gain", "tloo-n2", A_TO_B, 0.4, 1.1952401178417458, 4),
+        ("loss", "gaussian", B_TO_A, 0.3, 0.5000000000000001, 3),
+        ("gain", "gaussian", A_TO_B, 1e-4, 1.0000000099999997, 2),
     ],
     ids=direction_id,
 )
 def test_find_boundary_searches_from_its_pre_scan(monkeypatch, channel, criterion, direction, r, expected, batches):
-    # The pre-scan grid holds the margins at the bracket ends, so the search evaluates
-    # one point per step and finds the value the search evaluating its own ends found.
+    # The pre-scan grid holds the margins at the ends of the cell where the sign flips and at the
+    # grid points beside it, so the search evaluates three points per step, all inside that cell.
     params = []
 
     def recording(*args):
@@ -389,7 +391,10 @@ def test_find_boundary_searches_from_its_pre_scan(monkeypatch, channel, criterio
     monkeypatch.setattr(scan, "batch_margins", recording)
     assert repr(find_boundary(channel, r, criterion, direction)) == repr(expected)
     assert len(params) == batches
-    assert len(params[0]) == 64 and all(len(step) == 1 for step in params[1:])
+    grid = np.linspace(*scan.CHANNELS[channel].bracket, 64)
+    cell = grid[np.searchsorted(grid, expected) - 1 :][:2]
+    assert params[0] == grid.tolist()
+    assert all(len(step) == 3 and cell[0] < min(step) and max(step) < cell[1] for step in params[1:])
 
 
 def two_crossings(channel, rs, params, criteria):
@@ -416,8 +421,8 @@ def test_gain_boundary_is_found_near_the_vacuum(r):
     # G*(r) = 1 + tanh(r)^2 lies below 1 + 1e-12, where the gain bracket used to start,
     # for r <~ 1e-6, and rounds to 1 for r <~ 1e-8.
     gain = find_boundary("gain", r, "gaussian", A_TO_B)
-    assert abs(gain - (1 + mpmath.tanh(r) ** 2)) <= scan.ROOT_XTOL
-    assert gain == 1.0 or r > 1e-6
+    assert abs(gain - (1 + mpmath.tanh(r) ** 2)) <= scan.PARAM_XTOL
+    assert gain < 1 + 1e-12 or r > 1e-6
 
 
 def test_boundary_absent():
@@ -487,7 +492,7 @@ def test_squeezing_range_refuses_a_margin_positive_past_the_eps_bracket(monkeypa
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_gain_margin_is_negative_half_above_the_gaussian_boundary(level):
-    # squeezing_range brackets every eps point in [G*, G* + 0.5] from one batch at G* + 0.5;
+    # squeezing_range brackets every eps point below G* + 0.07, or else in [G* + 0.07, G* + 0.5];
     # detection reaches at most about 0.05 past G*, and the margin at G* + 0.5 stays negative.
     rs = np.geomspace(1e-6, 5.0, 400)
     (margins,) = batch_margins("gain", rs, gaussian_gain_boundary(rs) + 0.5, ((f"tloo-n{level}", A_TO_B),))
@@ -544,21 +549,41 @@ def test_squeezing_range_gain_edge_is_looked_up_at_call_time(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("channel, criterion, direction, most", [("loss", "tloo-n3", B_TO_A, 5), ("gain", "tloo-n2", A_TO_B, 10)],
+@pytest.mark.parametrize("channel, criterion, direction, most", [("loss", "tloo-n3", B_TO_A, 3), ("gain", "tloo-n2", A_TO_B, 5)],
                          ids=direction_id)
 def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterion, direction, most):
-    # Most of a margin batch's cost is fixed, so the batch count sets a search's cost.
-    # Halving every bracket down to its tolerance takes 17 batches for loss and 45 for gain here,
-    # and separate searches for the ends and the eps curve, each evaluating its own ends, 6 and 15.
+    # Most of a margin batch's cost is fixed, so the batch count sets a search's cost.  Root steps
+    # from the bracket ends alone took 6 batches for loss and 11 for gain here at these tolerances.
+    # The scan's one batch holds each scan point and, under gain, its eps grid; every later batch
+    # evaluates three points per bracket.
     calls = []
 
     def counting(*args):
-        calls.append(args)
+        calls.append(len(args[1]))
         return batch_margins(*args)
 
     monkeypatch.setattr(scan, "batch_margins", counting)
     assert squeezing_range(channel, criterion, direction, r_step=0.0205, r_max=1.22).detected
     assert len(calls) <= most
+    assert calls[0] == 59 * (1 + scan._EPS_STEPS * scan.CHANNELS[channel].eps_curve)
+    assert all(size % 3 == 0 for size in calls[1:])
+
+
+def test_squeezing_range_evaluates_half_above_the_boundary_only_past_the_eps_grid(monkeypatch):
+    # A margin that reaches 0.1 past G* at r = 0.2 and 0.03 elsewhere: only r = 0.2 is still positive
+    # at G* + 0.07, so only it is evaluated at G* + 0.5, and its eps is found in between.
+    calls = []
+
+    def reaching(channel, rs, params, criteria):
+        calls.append((rs.tolist(), params.tolist()))
+        return [np.where(rs == 0.2, 0.1, 0.03) - (params - gaussian_gain_boundary(rs)) for _ in criteria]
+
+    monkeypatch.setattr(scan, "batch_margins", reaching)
+    result = squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.3)
+    assert len(calls[0][0]) == 3 * (1 + scan._EPS_STEPS)
+    assert calls[1] == ([0.2], [gaussian_gain_boundary(0.2) + 0.5])
+    assert [r for r, _ in result.eps_curve] == [0.1, 0.2, 0.3]
+    assert [eps for _, eps in result.eps_curve] == pytest.approx([0.03, 0.1, 0.03], abs=1e-12)
 
 
 @pytest.mark.parametrize("r_step", [0.02, 0.0205, 0.1])
@@ -568,11 +593,21 @@ def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterio
     ids=direction_id,
 )
 def test_squeezing_range_equals_separate_searches(channel, criterion, direction, r_step):
-    # One search from the margins the scan and the batch at G* + 0.5 hold sees the floats the separate
-    # searches saw, since margins are batch-invariant.
+    # One search from the points the scan's batch holds and separate searches evaluating their own
+    # ends converge to the same sign changes: each result lies within its tolerance of one.
     result = squeezing_range(channel, criterion, direction, r_step=r_step, r_max=1.22)
-    assert result.detected
-    assert result == reference_squeezing_range(channel, criterion, direction, r_step=r_step, r_max=1.22)
+    reference = reference_squeezing_range(channel, criterion, direction, r_step=r_step, r_max=1.22)
+    assert result.detected and reference.detected
+
+    def near(value, expected, xtol):
+        return abs(value - expected) <= 2 * (xtol + 4 * np.finfo(float).eps * abs(expected))
+
+    assert near(result.r_low, reference.r_low, scan.PARAM_XTOL) and near(result.r_high, reference.r_high, scan.PARAM_XTOL)
+    if reference.eps_curve is None:
+        assert result.eps_curve is None
+    else:
+        assert [r for r, _ in result.eps_curve] == [r for r, _ in reference.eps_curve]
+        assert all(near(eps, expected, scan.EPS_XTOL) for (_, eps), (_, expected) in zip(result.eps_curve, reference.eps_curve))
 
 
 def test_squeezing_range_stable_under_refinement():
