@@ -64,6 +64,9 @@ ROOT_XTOL = 1e-8
 PARAM_XTOL = 1e-12
 EPS_XTOL = 1e-13
 ROOT_MAXITER = 200
+# A margin batch costs about as much as a hundred margins, so guards (two more margins per bracket and step,
+# which close most brackets a step sooner) pay in a search over at most this many brackets.
+_GUARDED_BRACKETS = 64
 _ROOT_RTOL = 4 * np.finfo(float).eps
 
 
@@ -75,18 +78,19 @@ def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None, outside=None) -> np.n
     spares their evaluation when the caller holds them, and outside = (x, f),
     each of shape (2, n), holds the nearest known point below lo and above hi
     with its margin (NaN where none is known).  Each step evaluates every live
-    bracket at three points in one batch: an inverse-cubic estimate through its
-    ends and the points beside them (inverse-quadratic where the margin is
-    monotone on one side only) and a guard on each side, twice the distance to
-    the lower-order estimate away and at least half a tolerance; the quarter
-    points where the margin is monotone on neither side or the last step did not
-    halve the bracket.  The new bracket is the tightest sign change among the
-    five points, and the points beside it are kept: Chandrupatla's search (Adv.
-    Eng. Softw. 28, 145 (1997)) one order up, with guards.  A result lies within
-    xtol (a scalar or one per bracket) + 4 eps |x| of a sign change; an empty
-    bracket (lo == hi) returns hi unevaluated.  Raises ValueError on an inverted
-    bracket, ends of the same sign or a NaN margin, RuntimeError after
-    ROOT_MAXITER steps.
+    bracket in one batch at an inverse-cubic estimate through its ends and the
+    points beside them (inverse-quadratic where the margin is monotone on one
+    side only), or at the midpoint where it is monotone on neither side or the
+    last step halved neither the bracket nor its ends' smaller margin.  A search
+    over at most _GUARDED_BRACKETS brackets also evaluates a guard on each side,
+    twice the distance to the lower-order estimate away and at least half a
+    tolerance (the midpoint's on the quarter points).  The new bracket is the
+    tightest sign change among the points, and the points beside it are kept:
+    Chandrupatla's search (Adv. Eng. Softw. 28, 145 (1997)) one order up, with
+    guards.  A result lies within xtol (a scalar or one per bracket) + 4 eps |x|
+    of a sign change; an empty bracket (lo == hi) returns hi unevaluated.
+    Raises ValueError on an inverted bracket, ends of the same sign or a NaN
+    margin, RuntimeError after ROOT_MAXITER steps.
     """
     x1, x2 = np.array([lo, hi], dtype=float)
     xtol = xtol + np.zeros_like(x1)
@@ -117,15 +121,16 @@ def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None, outside=None) -> np.n
     x = np.array([near[0, 0], x1[todo], x2[todo], near[0, 1]])
     f = np.array([near[1, 0], f1[live], f2[live], near[1, 1]])
     xtol, fast, cols, rows = xtol[todo], np.ones(todo.size, bool), np.arange(todo.size), np.arange(4)[:, None]
+    guarded = todo.size <= _GUARDED_BRACKETS
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a missing point makes its estimates NaN, never picked
         for step in range(ROOT_MAXITER + 1):
             a, b = x[1], x[2]
             tol = xtol + _ROOT_RTOL * np.fmin(np.abs(a), np.abs(b))
             done = (b - a < tol) | (f[1] == 0) | (f[2] == 0)
             if done.any():
-                root[todo[done]] = np.where(np.abs(f[1]) < np.abs(f[2]), a, b)[done]
-                keep = ~done
-                todo, x, f, xtol, tol, fast = todo[keep], x[:, keep], f[:, keep], xtol[keep], tol[keep], fast[keep]
+                end, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                root[todo[end]] = np.where(np.abs(f[1, end]) < np.abs(f[2, end]), a[end], b[end])
+                todo, x, f, xtol, tol, fast = todo[keep], x.take(keep, 1), f.take(keep, 1), xtol[keep], tol[keep], fast[keep]
                 a, b, cols = x[1], x[2], cols[: todo.size]
             if not todo.size:
                 return root
@@ -137,30 +142,32 @@ def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None, outside=None) -> np.n
             secant = (x[:-1] * f[1:] - x[1:] * f[:-1]) / rise
             quad = (secant[:-1] * f[2:] - secant[1:] * f[:-2]) / (f[2:] - f[:-2])
             cubic = (quad[0] * f[3] - quad[1] * f[0]) / (f[3] - f[0])
-            # Each estimate, then half its error: the midpoint, a quadratic with its distance to the
-            # secant, the cubic with its distance to the nearer quadratic.  A quadratic needs f monotone
-            # through its outside point, the cubic through both; the midpoint serves where neither is,
-            # or where the last step did not halve the bracket.
+            # Each estimate: the midpoint, a quadratic, the cubic.  A quadratic needs f monotone through its
+            # outside point, the cubic through both; the midpoint serves where neither is, or where the last
+            # step halved neither the bracket nor the smaller end margin.  The estimate lies at least half a
+            # tolerance inside the bracket.
             half = 0.5 * (b - a)
-            shift = np.abs(np.concatenate([quad - secant[1], quad - cubic]))
-            table = np.array([a + half, quad[0], quad[1], cubic, half, shift[0], shift[1], np.fmin(shift[2], shift[3])])
             monotone = rise[::2] * rise[1] > 0
             pick = ((monotone[0] + 2 * monotone[1]) * fast) * todo.size + cols
-            est, err = table.take(pick), table.take(pick + 4 * todo.size)
-            # The estimate at least half a tolerance inside the bracket, and a guard on each side twice its
-            # error away, or halfway to the bracket end if that is nearer (the midpoint's fall on the quarter points).
-            lim = 0.5 * tol
-            est = np.fmin(np.fmax(est, a + lim), b - lim)
-            err = np.fmax(2 * err, lim)
-            new = np.concatenate([np.fmax(est - err, 0.5 * (a + est)), est, np.fmin(est + err, 0.5 * (est + b))])
-            fx = checked(margins(np.concatenate([todo, todo, todo]), new), new)
-            x = np.concatenate([x[:2], new.reshape(3, -1), x[2:]])
-            f = np.concatenate([f[:2], fx.reshape(3, -1), f[2:]])
-            sign = np.sign(f[1:6])
-            width = np.where(sign[1:] != sign[:-1], x[2:6] - x[1:5], np.inf)
-            pick = (width.argmin(axis=0) + rows) * todo.size + cols  # the tightest sign change and the points beside it
+            lim, best = 0.5 * tol, np.fmin(np.abs(f[1]), np.abs(f[2]))
+            new = np.fmin(np.fmax(np.array([a + half, quad[0], quad[1], cubic]).take(pick), a + lim), b - lim)
+            if guarded:
+                # Half each estimate's error: the midpoint's half the bracket, a quadratic's its distance to the
+                # secant, the cubic's its distance to the nearer quadratic.  A guard on each side twice that away,
+                # or halfway to the bracket end if that is nearer (the midpoint's fall on the quarter points).
+                shift = np.abs(np.concatenate([quad - secant[1], quad - cubic]))
+                err = np.fmax(2 * np.array([half, shift[0], shift[1], np.fmin(shift[2], shift[3])]).take(pick), lim)
+                new = np.concatenate([np.fmax(new - err, 0.5 * (a + new)), new, np.fmin(new + err, 0.5 * (new + b))])
+            k = new.size // todo.size
+            fx = checked(margins(np.concatenate([todo] * k), new), new)
+            x = np.concatenate([x[:2], new.reshape(k, -1), x[2:]])
+            f = np.concatenate([f[:2], fx.reshape(k, -1), f[2:]])
+            sign = np.sign(f[1 : k + 3])
+            width = np.where(sign[1:] != sign[:-1], x[2 : k + 3] - x[1 : k + 2], np.inf)
+            cell = width.argmin(axis=0) if guarded else width[1] < width[0]  # a comparison is the cheaper argmin of two
+            pick = (cell + rows) * todo.size + cols  # the tightest sign change and the points beside it
             x, f = x.take(pick), f.take(pick)
-            fast = x[2] - x[1] <= half
+            fast = (x[2] - x[1] <= half) | (np.fmin(np.abs(f[1]), np.abs(f[2])) <= 0.5 * best)
 
 
 def _channel(name: str) -> Channel:
@@ -379,8 +386,8 @@ def squeezing_range(
     Scans the points k * r_step <= r_max, k >= 1 (1 to MAX_GRID_POINTS of
     them; a point within rounding of r_max counts); only the TLOO criteria are
     meaningful here.  One find_roots search refines both ends of detection (to
-    PARAM_XTOL) and every eps point (to EPS_XTOL) from points the scan's one
-    batch holds: under gain it also evaluates each scan point at _EPS_STEPS
+    PARAM_XTOL), from the scan's margins beside them, and every eps point (to
+    EPS_XTOL): under gain one batch evaluates each detected point at _EPS_STEPS
     offsets up to _EPS_BRACKET above the Gaussian boundary, which brackets every
     eps (all below 0.06); a point still positive there gets one batch 0.5 above.
     Raises if the detected points are not one run, naming the first gap, or
@@ -404,13 +411,7 @@ def squeezing_range(
     pair = ((criterion, direction),)
     rs = np.minimum(r_step * np.arange(1, steps + 1), r_max)  # the point counted within rounding stays at r_max
     params = edge(rs)
-    if spec.eps_curve:  # the scan's one batch also holds each point at _EPS_STEPS offsets above the boundary
-        offsets = _EPS_BRACKET / _EPS_STEPS * np.arange(_EPS_STEPS + 1)
-        grid = params + offsets[:, None]
-        values = batch_margins(channel, np.tile(rs, _EPS_STEPS + 1), grid.ravel(), pair)[0].reshape(grid.shape)
-        scanned = values[0]
-    else:
-        scanned = batch_margins(channel, rs, params, pair)[0]
+    scanned = batch_margins(channel, rs, params, pair)[0]
     detected = scanned > MARGIN_TOL
     if not detected.any():
         return SqueezingRange(channel, criterion, direction, False)
@@ -440,14 +441,16 @@ def squeezing_range(
     xtol = [PARAM_XTOL] * 2
     if spec.eps_curve:
         # Each eps lies in the first cell of G*, G* + _EPS_BRACKET k / _EPS_STEPS (k = 1 to _EPS_STEPS) and
-        # G* + 0.5 where the margin is not positive; the last point is evaluated only where it is needed.
-        boundary = params[detected]
+        # G* + 0.5 where the margin is not positive.  One batch evaluates the grid at the detected points,
+        # and the last point is evaluated only where it is needed.
+        boundary, eps = params[detected], np.arange(2, r_hit.size + 2)
         grid_x, grid_f = (np.full((_EPS_STEPS + 4, r_hit.size), np.nan) for _ in range(2))
-        grid_x[1:-1] = np.concatenate([grid[:, detected], [boundary + 0.5]])
-        grid_f[1:-2] = values[:, detected]
+        grid_x[1:-1] = boundary + np.append(_EPS_BRACKET / _EPS_STEPS * np.arange(_EPS_STEPS + 1), 0.5)[:, None]
+        grid_f[1] = scanned[detected]
+        grid_f[2:-2] = margins(np.tile(eps, _EPS_STEPS), grid_x[2:-2].ravel()).reshape(_EPS_STEPS, -1)
         open_ = np.flatnonzero(grid_f[-3] > 0.0)
         if open_.size:
-            grid_f[-2, open_] = margins(open_ + 2, grid_x[-2, open_])
+            grid_f[-2, open_] = margins(eps[open_], grid_x[-2, open_])
             if (grid_f[-2] > 0.0).any():
                 r = r_hit[np.argmax(grid_f[-2] > 0.0)]
                 raise ValueError(f"{criterion} margin is positive 0.5 above the Gaussian boundary at r={r:.9g}")

@@ -335,7 +335,7 @@ def reference_squeezing_range(channel: str, criterion: str, direction: str, r_st
     """squeezing_range by separate root searches, each evaluating its own bracket ends.
 
     The oracle for the single search of scan.squeezing_range, which starts from the
-    points its scan's batch already holds: the ends where detection flips are
+    points its scan and eps grid already hold: the ends where detection flips are
     searched first, to PARAM_XTOL, then each eps point to EPS_XTOL, bracketed by
     G* + 0.07 or, where the margin is still positive there, by G* + 0.5, all
     through the public find_roots.  The two converge to the same sign changes,

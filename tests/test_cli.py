@@ -356,7 +356,7 @@ def test_default_step_rrange_is_pinned(capsys, argv, expected):
 
 @pytest.mark.parametrize(
     "level, digest",
-    [("2", "7941c4770d37e1f42d427995def6151783fa341348c2e26bcff8228e645692e2"),
+    [("2", "996cc2e501aa2455b07d48789df490ef859e2cff4b172bee09012b528520f7b6"),
      ("3", "ac2794c0028ba8a947d25f989d6fce161d654a4c3bbd6498d4493961989f2ba4")],
 )
 def test_default_step_rrange_eps_curve_is_pinned(capsys, level, digest):

@@ -301,13 +301,16 @@ def test_find_roots_agrees_with_scipy(xtol):
     assert (np.abs(found - theirs.x) <= 2 * (xtol + 4 * np.finfo(float).eps * np.abs(roots))).all()
 
 
+@pytest.mark.parametrize("count", [200, scan._GUARDED_BRACKETS], ids=["unguarded", "guarded"])
 @pytest.mark.parametrize("placement", ["far", "beyond a second root"])
 @pytest.mark.parametrize("xtol", [1e-8, 1e-13])
-def test_find_roots_from_poorly_placed_outside_points(placement, xtol):
+def test_find_roots_from_poorly_placed_outside_points(placement, xtol, count):
     # Known points far outside each bracket, or beyond a second root of the margin on each side,
     # leave every search bracketing the root inside its bracket: each step's points lie inside the
-    # tightest sign change known so far, and each result within its tolerance of the root.
-    roots, scale, lo, hi = seeded_cubics()
+    # tightest sign change known so far, and each result within its tolerance of the root.  A search
+    # over more than _GUARDED_BRACKETS brackets evaluates one point per bracket and step, a smaller
+    # one three.
+    roots, scale, lo, hi = (v[:count] for v in seeded_cubics())
     gap = np.random.default_rng(9).uniform(0.5, 40.0, (2, roots.size))
     below, above = lo - gap[0], hi + gap[1]
     if placement == "far":
@@ -323,6 +326,7 @@ def test_find_roots_from_poorly_placed_outside_points(placement, xtol):
     def margins(index, x):
         f = margin(x, index)
         assert ((left[index] < x) & (x < right[index])).all()
+        assert np.bincount(index).max() == (1 if count > scan._GUARDED_BRACKETS else 3)
         on_left = (f > 0) != rising[index]
         np.maximum.at(left, index[on_left], x[on_left])
         np.minimum.at(right, index[~on_left], x[~on_left])

@@ -554,8 +554,8 @@ def test_squeezing_range_gain_edge_is_looked_up_at_call_time(monkeypatch):
 def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterion, direction, most):
     # Most of a margin batch's cost is fixed, so the batch count sets a search's cost.  Root steps
     # from the bracket ends alone took 6 batches for loss and 11 for gain here at these tolerances.
-    # The scan's one batch holds each scan point and, under gain, its eps grid; every later batch
-    # evaluates three points per bracket.
+    # The scan's batch holds each scan point, under gain one batch the eps grid at the 31 detected
+    # points, and every later batch three points per bracket.
     calls = []
 
     def counting(*args):
@@ -565,8 +565,30 @@ def test_squeezing_range_takes_few_margin_batches(monkeypatch, channel, criterio
     monkeypatch.setattr(scan, "batch_margins", counting)
     assert squeezing_range(channel, criterion, direction, r_step=0.0205, r_max=1.22).detected
     assert len(calls) <= most
-    assert calls[0] == 59 * (1 + scan._EPS_STEPS * scan.CHANNELS[channel].eps_curve)
-    assert all(size % 3 == 0 for size in calls[1:])
+    assert calls[0] == 59
+    grid = [31 * scan._EPS_STEPS] if scan.CHANNELS[channel].eps_curve else []
+    assert calls[1 : 1 + len(grid)] == grid
+    assert all(size % 3 == 0 for size in calls[1 + len(grid) :])
+
+
+@pytest.mark.parametrize("criterion, most", [("tloo-n2", 6100), ("tloo-n3", 4800)])
+def test_default_step_gain_scan_evaluates_few_margins(monkeypatch, criterion, most):
+    # At the default step most of a batch's cost is per margin, so the margin count sets the search's
+    # cost: 1,400 scan points, about 650 (n2) or 490 (n3) detected.  The eps grid is evaluated at the
+    # detected points alone, and a search over more than _GUARDED_BRACKETS brackets evaluates its
+    # estimates without guards.  Steps from the bracket ends alone took 6,207 and 4,767 margins at
+    # looser tolerances, and a grid at every scan point with guarded steps 10,673 and 9,083.
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return batch_margins(*args)
+
+    monkeypatch.setattr(scan, "batch_margins", counting)
+    result = squeezing_range("gain", criterion, A_TO_B)
+    assert calls[:2] == [1400, scan._EPS_STEPS * len(result.eps_curve)]
+    assert sum(calls) <= most
+    assert max(calls[2:]) <= len(result.eps_curve) + 2  # one point per live bracket
 
 
 def test_squeezing_range_evaluates_half_above_the_boundary_only_past_the_eps_grid(monkeypatch):
@@ -580,8 +602,8 @@ def test_squeezing_range_evaluates_half_above_the_boundary_only_past_the_eps_gri
 
     monkeypatch.setattr(scan, "batch_margins", reaching)
     result = squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.3)
-    assert len(calls[0][0]) == 3 * (1 + scan._EPS_STEPS)
-    assert calls[1] == ([0.2], [gaussian_gain_boundary(0.2) + 0.5])
+    assert len(calls[0][0]) == 3 and len(calls[1][0]) == 3 * scan._EPS_STEPS
+    assert calls[2] == ([0.2], [gaussian_gain_boundary(0.2) + 0.5])
     assert [r for r, _ in result.eps_curve] == [0.1, 0.2, 0.3]
     assert [eps for _, eps in result.eps_curve] == pytest.approx([0.03, 0.1, 0.03], abs=1e-12)
 
@@ -593,7 +615,7 @@ def test_squeezing_range_evaluates_half_above_the_boundary_only_past_the_eps_gri
     ids=direction_id,
 )
 def test_squeezing_range_equals_separate_searches(channel, criterion, direction, r_step):
-    # One search from the points the scan's batch holds and separate searches evaluating their own
+    # One search from the points the scan and eps grid hold and separate searches evaluating their own
     # ends converge to the same sign changes: each result lies within its tolerance of one.
     result = squeezing_range(channel, criterion, direction, r_step=r_step, r_max=1.22)
     reference = reference_squeezing_range(channel, criterion, direction, r_step=r_step, r_max=1.22)
