@@ -51,7 +51,7 @@ _SWEEP_BATCH = 16_384
 _SWEEP_FIELDS = ("r", "param", "criterion", "direction", "margin", "steerable")
 
 # Points of the pre-scan find_boundary makes over a channel's parameter bracket, and the
-# cells of the first bracket of every eps, up to _EPS_BRACKET above the Gaussian boundary.
+# cells of the one bracket of every eps, from the Gaussian boundary to _EPS_BRACKET above it.
 _BOUNDARY_GRID = 64
 _EPS_STEPS = 3
 _EPS_BRACKET = 0.07
@@ -88,7 +88,8 @@ def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None, outside=None) -> np.n
     tightest sign change among the points, and the points beside it are kept:
     Chandrupatla's search (Adv. Eng. Softw. 28, 145 (1997)) one order up, with
     guards.  A result lies within xtol (a scalar or one per bracket) + 4 eps |x|
-    of a sign change; an empty bracket (lo == hi) returns hi unevaluated.
+    of a sign change; an empty bracket (lo == hi) returns hi unevaluated, and
+    a zero end margin its end (hi where both are zero).
     Raises ValueError on an inverted bracket, ends of the same sign or a NaN
     margin, RuntimeError after ROOT_MAXITER steps.
     """
@@ -113,13 +114,10 @@ def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None, outside=None) -> np.n
     same = todo[f1 * f2 > 0]
     if same.size:
         raise ValueError(f"margin has the same sign at both ends of [{x1[same[0]]}, {x2[same[0]]}]")
-    root[todo[f1 == 0]] = x1[todo[f1 == 0]]
-    live = (f1 != 0) & (f2 != 0)
-    todo = todo[live]
     near = np.full((2, 2, todo.size), np.nan) if outside is None else np.array(outside, dtype=float)[:, :, todo]
-    # Rows c < a < b < d of each live bracket [a, b]: the point below, the ends, the point above.
+    # Rows c < a < b < d of each bracket [a, b]: the point below, the ends, the point above.
     x = np.array([near[0, 0], x1[todo], x2[todo], near[0, 1]])
-    f = np.array([near[1, 0], f1[live], f2[live], near[1, 1]])
+    f = np.array([near[1, 0], f1, f2, near[1, 1]])
     xtol, fast, cols, rows = xtol[todo], np.ones(todo.size, bool), np.arange(todo.size), np.arange(4)[:, None]
     guarded = todo.size <= _GUARDED_BRACKETS
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a missing point makes its estimates NaN, never picked
@@ -164,7 +162,7 @@ def find_roots(margins, lo, hi, xtol=ROOT_XTOL, ends=None, outside=None) -> np.n
             f = np.concatenate([f[:2], fx.reshape(k, -1), f[2:]])
             sign = np.sign(f[1 : k + 3])
             width = np.where(sign[1:] != sign[:-1], x[2 : k + 3] - x[1 : k + 2], np.inf)
-            cell = width.argmin(axis=0) if guarded else width[1] < width[0]  # a comparison is the cheaper argmin of two
+            cell = width.argmin(axis=0)
             pick = (cell + rows) * todo.size + cols  # the tightest sign change and the points beside it
             x, f = x.take(pick), f.take(pick)
             fast = (x[2] - x[1] <= half) | (np.fmin(np.abs(f[1]), np.abs(f[2])) <= 0.5 * best)
@@ -351,9 +349,9 @@ class SqueezingRange:
     in the blind region exists iff the margin at 1/2 is positive (the margin is
     single-crossing in the transmittance).  Under gain, eps_curve records the
     measured excess gain (r, detected gain minus Gaussian boundary) at every
-    detected squeezing.  r_low, r_high and each eps are searched to the digits
-    the CLI prints (PARAM_XTOL, EPS_XTOL), or are scan points where detection
-    reaches the scan's ends.
+    detected squeezing (each below _EPS_BRACKET).  r_low and r_high are
+    searched to the digits the CLI prints (PARAM_XTOL), or are scan points
+    where detection reaches the scan's ends; each eps to EPS_XTOL absolute.
     """
 
     channel: str
@@ -389,9 +387,9 @@ def squeezing_range(
     PARAM_XTOL), from the scan's margins beside them, and every eps point (to
     EPS_XTOL): under gain one batch evaluates each detected point at _EPS_STEPS
     offsets up to _EPS_BRACKET above the Gaussian boundary, which brackets every
-    eps (all below 0.06); a point still positive there gets one batch 0.5 above.
-    Raises if the detected points are not one run, naming the first gap, or
-    if a margin 0.5 above the boundary is positive.
+    eps (all below 0.06).  Raises if the detected points are not one run,
+    naming the first gap, or if a margin _EPS_BRACKET above the boundary is
+    positive.
     """
     if CRITERIA.get(criterion) is None:
         raise ValueError(f"squeezing-range scan requires a TLOO criterion, got {criterion!r}")
@@ -440,20 +438,16 @@ def squeezing_range(
     x, f = (np.concatenate([[np.nan], v, [np.nan]])[rows] for v in (rs, scanned - MARGIN_TOL))
     xtol = [PARAM_XTOL] * 2
     if spec.eps_curve:
-        # Each eps lies in the first cell of G*, G* + _EPS_BRACKET k / _EPS_STEPS (k = 1 to _EPS_STEPS) and
-        # G* + 0.5 where the margin is not positive.  One batch evaluates the grid at the detected points,
-        # and the last point is evaluated only where it is needed.
+        # Each eps lies in the first cell of G*, G* + _EPS_BRACKET k / _EPS_STEPS (k = 1 to _EPS_STEPS) where
+        # the margin is not positive.  One batch evaluates the grid at the detected points.
         boundary, eps = params[detected], np.arange(2, r_hit.size + 2)
-        grid_x, grid_f = (np.full((_EPS_STEPS + 4, r_hit.size), np.nan) for _ in range(2))
-        grid_x[1:-1] = boundary + np.append(_EPS_BRACKET / _EPS_STEPS * np.arange(_EPS_STEPS + 1), 0.5)[:, None]
+        grid_x, grid_f = (np.full((_EPS_STEPS + 3, r_hit.size), np.nan) for _ in range(2))
+        grid_x[1:-1] = boundary + _EPS_BRACKET / _EPS_STEPS * np.arange(_EPS_STEPS + 1)[:, None]
         grid_f[1] = scanned[detected]
-        grid_f[2:-2] = margins(np.tile(eps, _EPS_STEPS), grid_x[2:-2].ravel()).reshape(_EPS_STEPS, -1)
-        open_ = np.flatnonzero(grid_f[-3] > 0.0)
-        if open_.size:
-            grid_f[-2, open_] = margins(eps[open_], grid_x[-2, open_])
-            if (grid_f[-2] > 0.0).any():
-                r = r_hit[np.argmax(grid_f[-2] > 0.0)]
-                raise ValueError(f"{criterion} margin is positive 0.5 above the Gaussian boundary at r={r:.9g}")
+        grid_f[2:-1] = margins(np.tile(eps, _EPS_STEPS), grid_x[2:-1].ravel()).reshape(_EPS_STEPS, -1)
+        if (grid_f[-2] > 0.0).any():
+            r = r_hit[np.argmax(grid_f[-2] > 0.0)]
+            raise ValueError(f"{criterion} margin is positive {_EPS_BRACKET:g} above the Gaussian boundary at r={r:.9g}")
         cell = np.argmax(grid_f[2:-1] <= 0.0, axis=0)
         rows = cell + np.arange(4)[:, None]
         x = np.concatenate([x, grid_x[rows, np.arange(r_hit.size)]], axis=1)

@@ -191,7 +191,7 @@ def test_batched_boundaries_equal_scalar_calls():
         assert boundary(np.array(rs)).tolist() == [boundary(r) for r in rs]
 
 
-def test_bisect_skips_empty_brackets_and_finds_each_root():
+def test_find_roots_skips_empty_brackets_and_finds_each_root():
     calls = []
 
     def margins(index, x):
@@ -204,7 +204,7 @@ def test_bisect_skips_empty_brackets_and_finds_each_root():
     assert all(1 not in index for index in calls)
 
 
-def test_bisect_rejects_bad_brackets(monkeypatch):
+def test_find_roots_rejects_bad_brackets(monkeypatch):
     with pytest.raises(ValueError, match="same sign"):
         find_roots(lambda i, x: x, np.array([0.5]), np.array([1.0]))
     with pytest.raises(ValueError, match="NaN"):
@@ -258,9 +258,10 @@ def test_find_roots_checks_known_ends():
         find_roots(never, np.array([0.0, 0.5]), np.array([1.0, 1.0]), ends=([-1.0, 0.5], [1.0, 1.0]))
     with pytest.raises(ValueError, match="margin is NaN at 1.0"):
         find_roots(never, np.array([0.0]), np.array([1.0]), ends=([-0.5], [np.nan]))
-    # An empty bracket is neither checked nor evaluated; a zero end is the root.
-    roots = find_roots(never, np.array([0.3, 0.2]), np.array([0.3, 0.9]), ends=([np.nan, 0.0], [np.nan, 1.0]))
-    assert roots.tolist() == [0.3, 0.2]
+    # An empty bracket is neither checked nor evaluated; a zero end is the root, hi where both ends are zero.
+    roots = find_roots(never, np.array([0.3, 0.2, 0.1, 0.4]), np.array([0.3, 0.9, 0.6, 0.8]),
+                       ends=([np.nan, 0.0, -1.0, 0.0], [np.nan, 1.0, 0.0, 0.0]))
+    assert roots.tolist() == [0.3, 0.2, 0.6, 0.8]
 
 
 def test_find_roots_takes_a_tolerance_per_bracket():
@@ -275,9 +276,9 @@ def test_find_roots_takes_a_tolerance_per_bracket():
 
 
 @pytest.mark.parametrize("xtol", [1e-8, 1e-6, 1e-13])
-def test_bisect_takes_scipys_steps(xtol):
+def test_find_roots_agrees_with_scipys_bisect(xtol):
     # The halving bisection that find_roots replaced took scipy.optimize.bisect's
-    # steps bit for bit. Chandrupatla's steps differ, so on the same seeded cubics
+    # steps bit for bit. The inverse-cubic steps differ, so on the same seeded cubics
     # the two now meet within their tolerances.
     optimize = pytest.importorskip("scipy.optimize")
     roots, scale, lo, hi = seeded_cubics()

@@ -485,17 +485,25 @@ def test_squeezing_range_refuses_a_margin_positive_past_the_eps_bracket(monkeypa
     def always_positive(channel, rs, params, criteria):
         return [np.ones(len(rs)) for _ in criteria]
 
+    def reaching(channel, rs, params, criteria):
+        # Detection reaches 0.1 past G* at r = 0.2 and 0.03 past it elsewhere.
+        return [np.where(rs == 0.2, 0.1, 0.03) - (params - gaussian_gain_boundary(rs)) for _ in criteria]
+
     monkeypatch.setattr(scan, "batch_margins", always_positive)
-    with pytest.raises(ValueError, match=r"^tloo-n2 margin is positive 0.5 above the Gaussian boundary at r=0.1$"):
+    with pytest.raises(ValueError, match=r"^tloo-n2 margin is positive 0.07 above the Gaussian boundary at r=0.1$"):
         squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.2)
+    monkeypatch.setattr(scan, "batch_margins", reaching)
+    with pytest.raises(ValueError, match=r"^tloo-n2 margin is positive 0.07 above the Gaussian boundary at r=0.2$"):
+        squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.3)
 
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_gain_margin_is_negative_half_above_the_gaussian_boundary(level):
-    # squeezing_range brackets every eps point below G* + 0.07, or else in [G* + 0.07, G* + 0.5];
-    # detection reaches at most about 0.05 past G*, and the margin at G* + 0.5 stays negative.
-    rs = np.geomspace(1e-6, 5.0, 400)
-    (margins,) = batch_margins("gain", rs, gaussian_gain_boundary(rs) + 0.5, ((f"tloo-n{level}", A_TO_B),))
+    # squeezing_range brackets every eps point in [G*, G* + _EPS_BRACKET] and conftest's reference search
+    # in [G*, G* + 0.5]; detection reaches at most about 0.05 past G*, and the margin at both ends stays negative.
+    rs = np.tile(np.geomspace(1e-6, 5.0, 400), 2)
+    above = np.repeat([scan._EPS_BRACKET, 0.5], 400)
+    (margins,) = batch_margins("gain", rs, gaussian_gain_boundary(rs) + above, ((f"tloo-n{level}", A_TO_B),))
     assert (margins < 0.0).all()
 
 
@@ -589,23 +597,6 @@ def test_default_step_gain_scan_evaluates_few_margins(monkeypatch, criterion, mo
     assert calls[:2] == [1400, scan._EPS_STEPS * len(result.eps_curve)]
     assert sum(calls) <= most
     assert max(calls[2:]) <= len(result.eps_curve) + 2  # one point per live bracket
-
-
-def test_squeezing_range_evaluates_half_above_the_boundary_only_past_the_eps_grid(monkeypatch):
-    # A margin that reaches 0.1 past G* at r = 0.2 and 0.03 elsewhere: only r = 0.2 is still positive
-    # at G* + 0.07, so only it is evaluated at G* + 0.5, and its eps is found in between.
-    calls = []
-
-    def reaching(channel, rs, params, criteria):
-        calls.append((rs.tolist(), params.tolist()))
-        return [np.where(rs == 0.2, 0.1, 0.03) - (params - gaussian_gain_boundary(rs)) for _ in criteria]
-
-    monkeypatch.setattr(scan, "batch_margins", reaching)
-    result = squeezing_range("gain", "tloo-n2", A_TO_B, r_step=0.1, r_max=0.3)
-    assert len(calls[0][0]) == 3 and len(calls[1][0]) == 3 * scan._EPS_STEPS
-    assert calls[2] == ([0.2], [gaussian_gain_boundary(0.2) + 0.5])
-    assert [r for r, _ in result.eps_curve] == [0.1, 0.2, 0.3]
-    assert [eps for _, eps in result.eps_curve] == pytest.approx([0.03, 0.1, 0.03], abs=1e-12)
 
 
 @pytest.mark.parametrize("r_step", [0.02, 0.0205, 0.1])
